@@ -37,11 +37,9 @@ from .safe_exec import (
     SafeDmpEngine,
     SafetyParams,
     StepRecord,
-    reroute,
     run,
-    stt_modulation,
 )
-from .stt import TubeBounds, TubeEval, evaluate_tube, stt_control
+from .stt import stt_control
 from .trajectory import (
     DerivedKinematics,
     TimedTrajectory,
@@ -64,9 +62,8 @@ __all__ = [
     "DmpModel", "DmpState", "learn_from_trajectory", "learn_weights",
     "load_model", "retarget", "rollout", "save_model",
     "ExecutionLog", "FirstOrderLagPlant", "IdealPlant", "Obstacle",
-    "SafeDmpEngine", "SafetyParams", "StepRecord", "reroute", "run",
-    "stt_modulation",
-    "TubeBounds", "TubeEval", "evaluate_tube", "stt_control",
+    "SafeDmpEngine", "SafetyParams", "StepRecord", "run",
+    "stt_control",
     "DerivedKinematics", "TimedTrajectory", "finite_differences",
     "lift_to_3d", "low_pass", "preprocess", "read_demo_csv", "resample",
     "rotate",

@@ -4,7 +4,7 @@ Metrics follow the harness conventions: trajectory error is the mean
 absolute per-dimension deviation after resampling both trajectories to the
 reference length, re-convergence requires a dwell below tolerance, and the
 obstacle-avoidance overhead is the extra time to goal per obstacle.  All
-metrics are deterministic given (scenario, seed, platform); wall-clock
+metrics are deterministic given (scenario, platform); wall-clock
 timing is measured separately and never enters deterministic reports by
 default.
 """
@@ -42,8 +42,8 @@ class Perturbation:
         offset = np.asarray(self.offset, dtype=float).copy()
         if offset.ndim != 1 or not np.all(np.isfinite(offset)):
             raise InvalidInputError("offset must be a finite vector")
-        if self.t_apply < 0:
-            raise InvalidInputError("t_apply must be non-negative")
+        if not 0.0 <= self.t_apply < math.inf:
+            raise InvalidInputError("t_apply must be non-negative and finite")
         offset.flags.writeable = False
         object.__setattr__(self, "offset", offset)
 
@@ -71,6 +71,9 @@ class ExecutionOptions:
     def __post_init__(self):
         if self.plant not in ("ideal", "first-order-lag"):
             raise InvalidInputError(f"unknown plant kind {self.plant!r}")
+        for name in ("goal_tol", "max_horizon_factor", "plant_tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,6 @@ class Scenario:
     demo_source: str = "builtin:sshape"
     method: str = "safedmp"
     dt: float = safe_exec.DEFAULT_DT
-    rng_seed: int = 0
     obstacles: tuple = ()
     perturbations: tuple = ()
     preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
@@ -92,8 +94,8 @@ class Scenario:
     execution: ExecutionOptions = field(default_factory=ExecutionOptions)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidInputError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise InvalidInputError("dt must be positive and finite")
         if self.method not in METHODS:
             raise InvalidInputError(f"method must be one of {METHODS}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -527,10 +529,8 @@ def compare(
     scenarios,
     methods=METHODS,
     with_timing: bool = False,
-    max_workers: int = 1,
 ) -> list[ReportRow]:
     """Run every (method, scenario) pair; per-cell failures become rows."""
-    scenarios = list(scenarios)
     prepared_cache: dict[str, PreparedScenario] = {}
 
     def cell(scenario, method):
@@ -542,22 +542,7 @@ def compare(
         except Exception as exc:  # recorded, not fatal
             return ReportRow(scenario.name, method, None, error=str(exc))
 
-    jobs = [(s, m) for s in scenarios for m in methods]
-    if max_workers > 1:
-        # Prepare sequentially (shared cache), evaluate cells in a pool.
-        for scenario in scenarios:
-            if scenario.name not in prepared_cache:
-                try:
-                    prepared_cache[scenario.name] = prepare(scenario)
-                except Exception:
-                    pass
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda job: cell(*job), jobs))
-    else:
-        rows = [cell(s, m) for s, m in jobs]
-    return rows
+    return [cell(s, m) for s in scenarios for m in methods]
 
 
 def report_to_dict(rows) -> dict:
@@ -651,7 +636,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "demo_source": scenario.demo_source,
         "method": scenario.method,
         "dt": scenario.dt,
-        "rng_seed": scenario.rng_seed,
         "obstacles": [obstacle_dict(o) for o in scenario.obstacles],
         "perturbations": [
             {"t_apply": p.t_apply, "offset": [float(v) for v in p.offset]}
@@ -689,8 +673,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     top = {
-        "schema_version", "name", "demo_source", "method", "dt", "rng_seed",
-        "obstacles", "perturbations", "preprocess", "dmp", "safety", "apf",
+        "schema_version", "name", "demo_source", "method", "dt", "obstacles", "perturbations", "preprocess", "dmp", "safety", "apf",
         "execution",
     }
     _require_keys(data, top, "scenario")
@@ -750,7 +733,6 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         demo_source=data.get("demo_source", "builtin:sshape"),
         method=data.get("method", "safedmp"),
         dt=float(data.get("dt", safe_exec.DEFAULT_DT)),
-        rng_seed=int(data.get("rng_seed", 0)),
         obstacles=tuple(obstacles),
         perturbations=tuple(perturbations),
         preprocess=pre_opts,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import pathlib
 import sys
 
@@ -138,10 +137,8 @@ def cmd_run(args) -> int:
     scenario = bench.load_scenario(args.scenario)
     if args.method:
         scenario = dataclasses.replace(scenario, method=args.method)
-    if args.dt:
+    if args.dt is not None:
         scenario = dataclasses.replace(scenario, dt=args.dt)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, rng_seed=args.seed)
 
     nominal = dmp.rollout(model, scenario.dt, goal_tol=scenario.execution.goal_tol)
     prepared = bench.PreparedScenario(
@@ -179,10 +176,7 @@ def cmd_bench(args) -> int:
         raise InvalidInputError(f"{directory} is not a directory")
     paths = sorted(directory.glob("*.json"))
     scenarios = [bench.load_scenario(p) for p in paths]
-    workers = int(os.environ.get("SAFEDMP_THREADS", "1"))
-    rows = bench.compare(
-        scenarios, with_timing=args.timing, max_workers=max(1, workers)
-    )
+    rows = bench.compare(scenarios, with_timing=args.timing)
     prefix = pathlib.Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     json_path = prefix.with_name(prefix.name + "_report.json")
@@ -228,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output prefix")
     run.add_argument("--method", choices=bench.METHODS, default=None)
     run.add_argument("--dt", type=float, default=None)
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--timing", action="store_true",
                      help="include (non-reproducible) wall-clock timing")
     run.set_defaults(func=cmd_run)

@@ -16,7 +16,9 @@ remaining gain ratios used by the execution layer are alpha_e = alpha / 10
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -117,7 +119,10 @@ class DmpModel:
     def k_c(self) -> float:
         return 2.0 * self.alpha
 
+    @cached_property
     def amplitude(self) -> np.ndarray:
+        """Goal-to-start offset ``g - x0``; computed once, the forcing term
+        reads it on every step."""
         return self.g - self.x0
 
 
@@ -155,7 +160,7 @@ def forcing(model: DmpModel, z: float) -> np.ndarray:
     total = psi.sum()
     if total < 1e-300:
         raise DegeneratePhaseError(f"basis does not cover phase z={z}")
-    return model.amplitude() * (z * (model.weights @ psi) / total)
+    return model.amplitude * (z * (model.weights @ psi) / total)
 
 
 def target_forcing(
@@ -282,31 +287,6 @@ def integrate_step(state: DmpState, accel: np.ndarray, dt: float) -> DmpState:
     return state
 
 
-def adapt_timing(
-    state: DmpState,
-    x_measured: np.ndarray,
-    x_nominal: np.ndarray,
-    alpha_e: float,
-    k_c: float,
-    tau_nominal: float,
-    dt: float,
-) -> DmpState:
-    """Update the coupling error and re-derive the time scale.
-
-    The coupling error is a leaky first-order filter of the tracking
-    deviation, ``e' = e + alpha_e ((x_meas - x_nom) - e) dt``, so it decays
-    at rate alpha_e once the deviation is gone; the time scale is
-    ``tau = tau_nominal + k_c ||e||^2`` and therefore never drops below
-    nominal.
-    """
-    if dt <= 0 or alpha_e <= 0 or k_c <= 0:
-        raise InvalidInputError("dt and gains must be positive")
-    deviation = x_measured - x_nominal
-    state.e_couple = state.e_couple + alpha_e * (deviation - state.e_couple) * dt
-    state.tau = tau_nominal + k_c * float(state.e_couple @ state.e_couple)
-    return state
-
-
 @dataclass(frozen=True)
 class RolloutResult:
     trajectory: TimedTrajectory
@@ -327,8 +307,8 @@ def rollout(
     or when the horizon elapses, in which case the result is flagged
     non-converged rather than raising.
     """
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise InvalidInputError("dt must be positive and finite")
     if horizon is None:
         horizon = DEFAULT_HORIZON_FACTOR * model.tau_nominal
     max_steps = max(1, int(round(horizon / dt)))

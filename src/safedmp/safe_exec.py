@@ -8,6 +8,10 @@ position, and projects the final command again so that what is issued can
 never penetrate a clearance sphere.  The internal primitive never sees the
 obstacles; deviations feed back only through the time-dilation coupling, so
 execution slows down while the measured motion detours and re-converges.
+
+The step math lives in four module-level routines over plain float
+sequences: :func:`worst_violation`, :func:`project`, :func:`tube_correction`
+and :func:`coupling_step`.  The engine calls them, and so do the tests.
 """
 
 from __future__ import annotations
@@ -18,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dmp, stt
-from .errors import (
-    DegeneratePhaseError,
-    InvalidInputError,
-    PhaseStepError,
-    SafetyInfeasibleError,
-)
+from . import dmp
+from .errors import InvalidInputError, SafetyInfeasibleError
 
 DEFAULT_DT = 0.005
 DEFAULT_DELTA_GAMMA = 0.1
@@ -39,11 +38,9 @@ PROJECTION_TOL = 1e-9
 class Obstacle:
     """Sphere with optional constant drift and activity window.
 
-    The sphere is the shipped geometry.  :func:`reroute` only relies on the
-    ``active``, ``clearance_distance`` and ``project_to_clearance`` methods,
-    so other shapes can be dropped in by implementing the same trio with a
-    signed-distance query in place of the center-distance arithmetic (the
-    execution engine additionally specializes spheres for speed).
+    The engine reads obstacles only once, into its obstacle table (see
+    :func:`obstacle_table`); ``position`` and ``surface_distance`` serve the
+    potential-field baseline and callers that inspect a scenario.
     """
 
     center0: np.ndarray
@@ -60,13 +57,17 @@ class Obstacle:
         )
         if center0.ndim != 1 or velocity.shape != center0.shape:
             raise InvalidInputError("center0 and velocity must be matching vectors")
-        if self.radius <= 0:
-            raise InvalidInputError("obstacle radius must be positive")
+        if not (np.all(np.isfinite(center0)) and np.all(np.isfinite(velocity))):
+            raise InvalidInputError("obstacle center and velocity must be finite")
+        if not 0.0 < self.radius < math.inf:
+            raise InvalidInputError("obstacle radius must be positive and finite")
         if self.active_window is not None:
-            t0, t1 = self.active_window
-            if not t0 < t1:
-                raise InvalidInputError("active_window must satisfy t_start < t_end")
-            object.__setattr__(self, "active_window", (float(t0), float(t1)))
+            t0, t1 = (float(v) for v in self.active_window)
+            if not -math.inf < t0 < t1 < math.inf:
+                raise InvalidInputError(
+                    "active_window must be finite with t_start < t_end"
+                )
+            object.__setattr__(self, "active_window", (t0, t1))
         center0.flags.writeable = False
         velocity.flags.writeable = False
         object.__setattr__(self, "center0", center0)
@@ -91,31 +92,6 @@ class Obstacle:
     def surface_distance(self, x: np.ndarray, t: float) -> float:
         return float(np.linalg.norm(x - self.position(t)) - self.radius)
 
-    def clearance_distance(self, x: np.ndarray, t: float, delta_gamma: float) -> float:
-        """Signed distance to the clearance region (negative inside)."""
-        return self.surface_distance(x, t) - 0.5 * delta_gamma
-
-    def project_to_clearance(
-        self,
-        x: np.ndarray,
-        t: float,
-        delta_gamma: float,
-        fallback_dir: np.ndarray,
-    ) -> np.ndarray:
-        """Nearest point on the clearance boundary, radially from the center."""
-        center = self.position(t)
-        clearance = self.radius + 0.5 * delta_gamma
-        offset = x - center
-        dist = float(np.linalg.norm(offset))
-        if dist < 1e-12:
-            return center + fallback_dir * clearance
-        return center + offset * (clearance / dist)
-
-
-def obstacle_position(obs: Obstacle, t: float) -> np.ndarray:
-    """Center of ``obs`` at time ``t`` (infinity sentinel while inactive)."""
-    return obs.position(t)
-
 
 @dataclass(frozen=True)
 class SafetyParams:
@@ -130,15 +106,12 @@ class SafetyParams:
     clip_limit: float = DEFAULT_CLIP_LIMIT
 
     def __post_init__(self):
-        if self.delta_gamma <= 0:
-            raise InvalidInputError("delta_gamma must be positive")
-        if self.gain <= 0:
-            raise InvalidInputError("gain must be positive")
+        if not 0.0 < self.delta_gamma < math.inf:
+            raise InvalidInputError("delta_gamma must be positive and finite")
+        if not 0.0 < self.gain < math.inf:
+            raise InvalidInputError("gain must be positive and finite")
         if not 0.0 < self.clip_limit < 1.0:
             raise InvalidInputError("clip_limit must lie in (0, 1)")
-
-    def clearance(self, obs: Obstacle) -> float:
-        return obs.radius + 0.5 * self.delta_gamma
 
 
 @dataclass(frozen=True)
@@ -189,78 +162,147 @@ class ExecutionLog:
         return min((r.min_clearance for r in self.records), default=math.inf)
 
 
-def reroute(
-    x_target: np.ndarray,
-    obstacles,
-    t: float,
-    delta_gamma: float,
-    fallback_dir: np.ndarray | None = None,
-) -> np.ndarray:
-    """Project a target out of any breached clearance region.
+# --- the step math -----------------------------------------------------------
 
-    Each active obstacle claims a clearance region (for spheres: radius plus
-    half the tube width around the center); a target strictly inside the
-    deepest-violated region is moved onto its boundary and re-checked
-    against the rest for up to d+1 passes.  A target with no projection
-    direction (e.g. exactly at a sphere center) is pushed along
-    ``fallback_dir`` (the caller's last motion direction, or +z when
-    unavailable).  Works with any obstacle object exposing ``active``,
-    ``clearance_distance`` and ``project_to_clearance``.
+
+def obstacle_table(obstacles, delta_gamma: float) -> list[tuple]:
+    """The engine's obstacle table: one plain-float row per obstacle.
+
+    A row is ``(center0, velocity, radius, clearance, window, moving)``:
+    center at t=0 and velocity as tuples, the clearance radius (radius plus
+    half the tube width), the activity window or None, and whether the
+    obstacle moves.  Rows are plain tuples because the scan unpacks them on
+    every control step.
     """
-    point = np.asarray(x_target, dtype=float)
-    d = point.shape[0]
-    active = [o for o in obstacles if o.active(t)]
-    if not active:
-        return point
-    if fallback_dir is None:
-        fallback_dir = np.zeros(d)
-        fallback_dir[-1] = 1.0
-    else:
-        fallback_dir = np.asarray(fallback_dir, dtype=float)
-        norm = np.linalg.norm(fallback_dir)
-        if norm < 1e-12:
-            fallback_dir = np.zeros(d)
-            fallback_dir[-1] = 1.0
+    return [
+        (
+            tuple(float(v) for v in o.center0),
+            tuple(float(v) for v in o.velocity),
+            o.radius,
+            o.radius + 0.5 * delta_gamma,
+            o.active_window,
+            bool(np.any(o.velocity != 0.0)),
+        )
+        for o in obstacles
+    ]
+
+
+def worst_violation(table, point, t: float):
+    """Deepest clearance breach of ``point`` among obstacles active at ``t``.
+
+    Returns ``(gap, center, dist, clearance, radius)`` for the obstacle with
+    the smallest ``gap = dist - clearance`` (negative inside its clearance
+    sphere), where ``center`` is its center at ``t`` and ``dist`` the
+    distance from ``point`` to it; ``gap`` is inf and ``center`` None when
+    no obstacle is active.
+    """
+    gap_min = math.inf
+    w_center, w_dist, w_clearance, w_radius = None, 0.0, 0.0, 0.0
+    sqrt = math.sqrt
+    for center0, vel, radius, clearance, window, moving in table:
+        if window is not None and not window[0] <= t <= window[1]:
+            continue
+        if moving:
+            center = tuple(c + v * t for c, v in zip(center0, vel))
         else:
-            fallback_dir = fallback_dir / norm
+            center = center0
+        acc = 0.0
+        for p_i, c_i in zip(point, center):
+            diff = p_i - c_i
+            acc += diff * diff
+        dist = sqrt(acc)
+        gap = dist - clearance
+        if gap < gap_min:
+            gap_min, w_center, w_dist, w_clearance, w_radius = (
+                gap, center, dist, clearance, radius
+            )
+    return gap_min, w_center, w_dist, w_clearance, w_radius
 
-    def worst_violation(p):
-        gap, offender = math.inf, None
-        for obs in active:
-            dist = obs.clearance_distance(p, t, delta_gamma)
-            if dist < gap:
-                gap, offender = dist, obs
-        return gap, offender
 
-    for _ in range(d + 1):
-        gap, offender = worst_violation(point)
+def project(table, point: list, t: float, fallback, hit=None) -> list:
+    """Move ``point`` (mutated and returned) out of every clearance sphere.
+
+    Each pass pushes the point radially onto the boundary of the deepest
+    breached sphere and re-scans; a point at a sphere's center is pushed
+    along the unit vector ``fallback``.  ``hit`` is the caller's own
+    :func:`worst_violation` of ``point`` when it already has one.  After the
+    first push and d+1 re-checked passes a point still inside some sphere
+    means the clearance regions overlap, which raises
+    :class:`SafetyInfeasibleError`.
+    """
+    if hit is None:
+        hit = worst_violation(table, point, t)
+    gap, center, dist, clearance, _ = hit
+    d = len(point)
+    for _ in range(d + 2):
         if not gap < 0.0:
             return point
-        point = offender.project_to_clearance(point, t, delta_gamma, fallback_dir)
-    if worst_violation(point)[0] < -PROJECTION_TOL:
+        if dist < 1e-12:
+            for i in range(d):
+                point[i] = center[i] + fallback[i] * clearance
+        else:
+            for i in range(d):
+                point[i] = center[i] + (point[i] - center[i]) / dist * clearance
+        gap, center, dist, clearance, _ = worst_violation(table, point, t)
+    if gap < -PROJECTION_TOL:
         raise SafetyInfeasibleError(
-            "clearance regions overlap; no collision-free projection found"
+            "clearance spheres overlap; no collision-free projection found"
         )
     return point
 
 
-def stt_modulation(
-    x_measured: np.ndarray,
-    x_safe: np.ndarray,
-    params: SafetyParams,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tube correction around ``x_safe``: velocity ``u`` and step ``u * dt``.
+def tube_correction(x_measured, center, x_target, dt: float, safety: SafetyParams):
+    """Tube term of a fixed-width symmetric tube around ``center``.
 
-    Delegates to the tube law with a fixed-width symmetric tube centered at
-    the safe point, so per dimension ``e = (x_meas - x_safe)/(delta_gamma/2)``
-    clipped, and ``u = -gain * 4/(delta_gamma (1 - e^2)) * ln((1+e)/(1-e))``.
+    Per dimension ``e = (x_meas - center)/(delta_gamma/2)`` clipped to the
+    clip limit, ``u = -gain * 4/(delta_gamma (1 - e^2)) * ln((1+e)/(1-e))``
+    (the law of :func:`stt.stt_control`).  Returns ``(u, x_desired, shift)``
+    with ``x_desired = x_target + u dt`` and ``shift = ||u dt||``.
     """
-    half = 0.5 * params.delta_gamma
-    u = stt.stt_control(
-        x_measured, x_safe - half, x_safe + half, params.gain, params.clip_limit
-    )
-    return u, u * dt
+    half = 0.5 * safety.delta_gamma
+    clip = safety.clip_limit
+    u_scale = -4.0 * safety.gain / safety.delta_gamma
+    d = len(x_target)
+    u = [0.0] * d
+    x_desired = [0.0] * d
+    shift2 = 0.0
+    for i in range(d):
+        e_i = (x_measured[i] - center[i]) / half
+        if e_i > clip:
+            e_i = clip
+        elif e_i < -clip:
+            e_i = -clip
+        u_i = u_scale * (math.log((1.0 + e_i) / (1.0 - e_i)) / (1.0 - e_i * e_i))
+        u[i] = u_i
+        step_i = u_i * dt
+        shift2 += step_i * step_i
+        x_desired[i] = x_target[i] + step_i
+    return u, x_desired, math.sqrt(shift2)
+
+
+def coupling_step(
+    e_couple, x_measured, x_nominal, dt: float,
+    alpha_e: float, k_c: float, tau_nominal: float,
+):
+    """Update the coupling error and re-derive the time scale.
+
+    The coupling error is a leaky first-order filter of the tracking
+    deviation, ``e' = e + alpha_e ((x_meas - x_nom) - e) dt``, so it decays
+    at rate alpha_e once the deviation is gone; the time scale is
+    ``tau = tau_nominal + k_c ||e'||^2`` and therefore never drops below
+    nominal.  Returns ``(e', tau)``.
+    """
+    d = len(e_couple)
+    e_new = [0.0] * d
+    tau_excess = 0.0
+    for i in range(d):
+        e_i = e_couple[i] + alpha_e * ((x_measured[i] - x_nominal[i]) - e_couple[i]) * dt
+        e_new[i] = e_i
+        tau_excess += e_i * e_i
+    return e_new, tau_nominal + k_c * tau_excess
+
+
+# --- plants and the engine ---------------------------------------------------
 
 
 class IdealPlant:
@@ -304,10 +346,11 @@ class SafeDmpEngine:
     term exactly zero under perfect tracking, and every issued command is
     itself projected clear of the clearance spheres.
 
-    The control path is allocation-lean: obstacle geometry is packed into
-    arrays once, and the tube/coupling formulas are applied inline with the
-    same expressions the primitive integrator uses, so an obstacle-free run
-    reproduces the nominal rollout bit for bit.
+    Obstacles are read once into a single table of plain floats
+    (:func:`obstacle_table`); the control step works on plain float lists
+    and applies the attractor with the same expressions as the nominal
+    integrator, so an obstacle-free run reproduces the nominal rollout bit
+    for bit.
     """
 
     method = "safedmp"
@@ -320,8 +363,8 @@ class SafeDmpEngine:
         dt: float = DEFAULT_DT,
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
     ):
-        if dt <= 0:
-            raise InvalidInputError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise InvalidInputError("dt must be positive and finite")
         self.model = model
         self.safety = safety if safety is not None else SafetyParams()
         self.obstacles = tuple(obstacles)
@@ -333,7 +376,7 @@ class SafeDmpEngine:
         self.state = dmp.initial_state(model)
         self.records: list[StepRecord] = []
         self.step_seconds: list[float] = []
-        self._last_dir = None
+        self._table = obstacle_table(self.obstacles, self.safety.delta_gamma)
 
         # working copies of the state as plain floats (hot-loop friendly);
         # the DmpState arrays are kept in sync on the logging side
@@ -341,53 +384,14 @@ class SafeDmpEngine:
         self._v = [0.0] * model.d
         self._ec = [0.0] * model.d
         self._x_safe_prev = [float(v) for v in model.x0]
+        # push direction for a point at a sphere center: the last projected
+        # motion of the safe point, or +z before any
+        self._fallback = [0.0] * model.d
+        self._fallback[-1] = 1.0
 
-        # obstacle geometry packed for vectorized queries
-        n_obs = len(self.obstacles)
-        self._centers0 = np.asarray([o.center0 for o in self.obstacles]).reshape(
-            n_obs, model.d
-        )
-        self._vels = np.asarray([o.velocity for o in self.obstacles]).reshape(
-            n_obs, model.d
-        )
-        self._radii = np.asarray([o.radius for o in self.obstacles])
-        self._clearances = self._radii + 0.5 * self.safety.delta_gamma
-        self._moving = bool(n_obs) and bool(np.any(self._vels != 0.0))
-        self._windows = [o.active_window for o in self.obstacles]
-        self._has_windows = any(w is not None for w in self._windows)
-
-        # scalar constants of the step formulas
-        self._alpha = model.alpha
-        self._beta = model.beta
-        self._alpha_z = model.alpha_z
-        self._alpha_e = model.alpha_e
-        self._k_c = model.k_c
-        self._tau_nominal = model.tau_nominal
-        self._amp = model.g - model.x0
-        self._widths_arr = np.asarray(model.widths)
-        self._centers_arr = np.asarray(model.centers)
-        self._weights_arr = np.asarray(model.weights)
-        self._g_list = [float(v) for v in model.g]
-        self._dt2 = dt**2
-        self._half_width = 0.5 * self.safety.delta_gamma
-        self._clip = self.safety.clip_limit
-        self._u_scale = -4.0 * self.safety.gain / self.safety.delta_gamma
-        self._obstacle_rows = [
-            (
-                tuple(float(v) for v in o.center0),
-                tuple(float(v) for v in o.velocity),
-                self.safety.clearance(o),
-                o.active_window,
-                bool(np.any(o.velocity != 0.0)),
-            )
-            for o in self.obstacles
-        ]
-        # fast scan table when nothing moves and no activity windows exist
-        self._static_rows = None
-        if self.obstacles and not any(
-            row[3] is not None or row[4] for row in self._obstacle_rows
-        ):
-            self._static_rows = [(row[0], row[2]) for row in self._obstacle_rows]
+        self._g = [float(v) for v in model.g]
+        self._gains = (model.alpha, model.beta, model.alpha_z)
+        self._coupling = (model.alpha_e, model.k_c, model.tau_nominal)
 
     def initial_position(self) -> np.ndarray:
         return self.model.x0.copy()
@@ -395,23 +399,9 @@ class SafeDmpEngine:
     def goal_distance(self) -> float:
         acc = 0.0
         for i in range(self.model.d):
-            diff = self._x[i] - self._g_list[i]
+            diff = self._x[i] - self._g[i]
             acc += diff * diff
         return math.sqrt(acc)
-
-    def _obstacle_snapshot(self, t: float):
-        """(centers, clearances, radii) of currently active obstacles."""
-        if not self.obstacles:
-            return None
-        centers = self._centers0 if not self._moving else self._centers0 + self._vels * t
-        if not self._has_windows:
-            return centers, self._clearances, self._radii
-        mask = np.asarray(
-            [w is None or (w[0] <= t <= w[1]) for w in self._windows]
-        )
-        if not mask.any():
-            return None
-        return centers[mask], self._clearances[mask], self._radii[mask]
 
     def control(self, x_measured: np.ndarray, t: float) -> tuple:
         """One control computation; advances the internal state.
@@ -423,23 +413,18 @@ class SafeDmpEngine:
         mirror the nominal integrator's term by term, so the results are
         bit-identical to a pure rollout when the tube term is zero.
         """
+        model = self.model
         state = self.state
         dt = self.dt
-        dt2 = self._dt2
-        d = self.model.d
-        z = state.z
+        d = model.d
 
         # primitive prediction (same expressions as the nominal integrator)
-        psi = np.exp(-self._widths_arr * (z - self._centers_arr) ** 2)
-        total = psi.sum()
-        if total < 1e-300:
-            raise DegeneratePhaseError(f"basis does not cover phase z={z}")
-        f = (self._amp * (z * (self._weights_arr @ psi) / total)).tolist()
+        f = dmp.forcing(model, state.z).tolist()
         tau = state.tau
         tau2 = tau**2
-        alpha = self._alpha
-        beta = self._beta
-        g = self._g_list
+        alpha, beta, alpha_z = self._gains
+        dt2 = dt**2
+        g = self._g
         x = self._x
         v = self._v
         accel = [0.0] * d
@@ -449,141 +434,39 @@ class SafeDmpEngine:
             accel[i] = a_i
             x_target[i] = x[i] + v[i] * dt + (0.5 * a_i) * dt2
 
-        # clearance screening against every active obstacle
-        target_gap, w_center, w_clear, w_dist = self._worst_violation(x_target, t)
-        if target_gap < 0.0:
-            x_safe = list(x_target)
-            self._apply_projection(x_safe, w_center, w_clear, w_dist)
-            x_safe = self._project(x_safe, t)
+        # project the target out of every clearance sphere
+        table = self._table
+        hit = worst_violation(table, x_target, t)
+        if hit[0] < 0.0:
+            x_safe = project(table, list(x_target), t, self._fallback, hit)
             self._note_motion(x_safe)
         else:
             x_safe = x_target
 
-        # tube correction around the previously commanded safe point
-        clip = self._clip
-        u_scale = self._u_scale
-        half = self._half_width
-        prev_center = self._x_safe_prev
-        u = [0.0] * d
-        x_desired = [0.0] * d
-        shift2 = 0.0
-        for i in range(d):
-            e_i = (x_measured[i] - prev_center[i]) / half
-            if e_i > clip:
-                e_i = clip
-            elif e_i < -clip:
-                e_i = -clip
-            u_i = u_scale * (math.log((1.0 + e_i) / (1.0 - e_i)) / (1.0 - e_i * e_i))
-            u[i] = u_i
-            step_i = u_i * dt
-            shift2 += step_i * step_i
-            x_desired[i] = x_target[i] + step_i
-        if target_gap < math.sqrt(shift2):
-            d_gap, dw_center, dw_clear, dw_dist = self._worst_violation(x_desired, t)
-            if d_gap < 0.0:
-                self._apply_projection(x_desired, dw_center, dw_clear, dw_dist)
-                x_desired = self._project(x_desired, t)
+        # tube correction around the previously commanded safe point; the
+        # command needs re-checking only if the shift can reach a sphere
+        u, x_desired, shift = tube_correction(
+            x_measured, self._x_safe_prev, x_target, dt, self.safety
+        )
+        if hit[0] < shift:
+            x_desired = project(table, x_desired, t, self._fallback)
 
         # coupling error, time dilation, phase decay, state integration
-        ec = self._ec
-        alpha_e = self._alpha_e
-        e_new = [0.0] * d
-        tau_excess = 0.0
-        for i in range(d):
-            e_i = ec[i] + alpha_e * ((x_measured[i] - x[i]) - ec[i]) * dt
-            e_new[i] = e_i
-            tau_excess += e_i * e_i
-        state.tau = self._tau_nominal + self._k_c * tau_excess
-        ratio = self._alpha_z * dt / state.tau
-        if ratio >= 1.0:
-            raise PhaseStepError(
-                f"alpha_z*dt/tau = {ratio:.3g} >= 1 would drive the phase past zero"
-            )
-        state.z = z * (1.0 - ratio)
-
-        x_nominal = x
-        self._ec = e_new
+        self._ec, state.tau = coupling_step(
+            self._ec, x_measured, x, dt, *self._coupling
+        )
+        state.z = dmp.phase_step(state.z, state.tau, dt, alpha_z)
         self._x = x_target
         self._v = [v[i] + accel[i] * dt for i in range(d)]
         self._x_safe_prev = x_safe
-        return x_desired, x_nominal, x_target, x_safe, u
-
-    def _worst_violation(self, point, t: float):
-        """(min gap, offending center, clearance, distance) over active obstacles."""
-        gap_min = math.inf
-        worst = (None, 0.0, 0.0)
-        sqrt = math.sqrt
-        if self._static_rows is not None:
-            for center, clearance in self._static_rows:
-                acc = 0.0
-                for pi, ci in zip(point, center):
-                    diff = pi - ci
-                    acc += diff * diff
-                dist = sqrt(acc)
-                gap = dist - clearance
-                if gap < gap_min:
-                    gap_min = gap
-                    worst = (center, clearance, dist)
-            return gap_min, worst[0], worst[1], worst[2]
-        d = len(point)
-        for center0, vel, clearance, window, moves in self._obstacle_rows:
-            if window is not None and not window[0] <= t <= window[1]:
-                continue
-            if moves:
-                center = tuple(center0[i] + vel[i] * t for i in range(d))
-            else:
-                center = center0
-            acc = 0.0
-            for i in range(d):
-                diff = point[i] - center[i]
-                acc += diff * diff
-            dist = sqrt(acc)
-            gap = dist - clearance
-            if gap < gap_min:
-                gap_min = gap
-                worst = (center, clearance, dist)
-        return gap_min, worst[0], worst[1], worst[2]
-
-    def _min_gap(self, point, t: float) -> float:
-        return self._worst_violation(point, t)[0]
-
-    def _apply_projection(self, point: list, center, clearance: float, dist: float):
-        d = len(point)
-        if dist < 1e-12:
-            fallback = self._fallback_dir()
-            for i in range(d):
-                point[i] = center[i] + fallback[i] * clearance
-        else:
-            for i in range(d):
-                point[i] = center[i] + (point[i] - center[i]) / dist * clearance
-
-    def _project(self, point: list, t: float) -> list:
-        """Scalarized twin of :func:`reroute`; mutates and returns ``point``."""
-        d = len(point)
-        for _ in range(d + 1):
-            gap, center, clearance, dist = self._worst_violation(point, t)
-            if not gap < 0.0:
-                return point
-            self._apply_projection(point, center, clearance, dist)
-        if self._min_gap(point, t) < -PROJECTION_TOL:
-            raise SafetyInfeasibleError(
-                "clearance spheres overlap; no collision-free projection found"
-            )
-        return point
+        return x_desired, x, x_target, x_safe, u
 
     def _note_motion(self, x_safe) -> None:
         d = len(x_safe)
         motion = [x_safe[i] - self._x_safe_prev[i] for i in range(d)]
         norm = math.sqrt(sum(m * m for m in motion))
         if norm > 1e-12:
-            self._last_dir = [m / norm for m in motion]
-
-    def _fallback_dir(self):
-        if self._last_dir is not None:
-            return self._last_dir
-        fallback = [0.0] * self.model.d
-        fallback[-1] = 1.0
-        return fallback
+            self._fallback = [m / norm for m in motion]
 
     def step(self, x_measured, t: float) -> np.ndarray:
         """Timed control computation plus log record; returns the command."""
@@ -610,14 +493,10 @@ class SafeDmpEngine:
         )
         return np.asarray(x_desired)
 
-    def _min_surface_clearance(self, x: np.ndarray, t: float) -> float:
-        snapshot = self._obstacle_snapshot(t)
-        if snapshot is None:
-            return math.inf
-        centers, _, radii = snapshot
-        diffs = x - centers
-        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        return float(np.min(dists - radii))
+    def _min_surface_clearance(self, x, t: float) -> float:
+        """Distance from ``x`` to the nearest active obstacle surface."""
+        _, center, dist, _, radius = worst_violation(self._table, x, t)
+        return math.inf if center is None else dist - radius
 
 
 def run(

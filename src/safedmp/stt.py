@@ -14,9 +14,6 @@ keep the state inside.  All functions accept scalars or arrays and are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import InvalidInputError, InvalidTubeError, TubeDomainError
@@ -102,58 +99,4 @@ def control_magnitude_bound(gain: float, rho_d, clip_limit: float = DEFAULT_CLIP
         * (4.0 / np.asarray(rho_d, dtype=float))
         * (1.0 / (1.0 - clip_limit**2))
         * np.log((1.0 + clip_limit) / (1.0 - clip_limit))
-    )
-
-
-@dataclass(frozen=True)
-class TubeBounds:
-    """Per-dimension time-varying bounds given as callables of time.
-
-    ``lower(t)`` and ``upper(t)`` must return arrays of the constrained
-    dimension; validity (gap >= MIN_TUBE_GAP) is checked at evaluation.
-    """
-
-    lower: Callable[[float], np.ndarray]
-    upper: Callable[[float], np.ndarray]
-
-    @staticmethod
-    def centered(center: Callable[[float], np.ndarray], width: float) -> "TubeBounds":
-        """Symmetric tube of constant total width around a moving center."""
-        if width < MIN_TUBE_GAP:
-            raise InvalidTubeError(f"tube width must be at least {MIN_TUBE_GAP}")
-        half = 0.5 * width
-        return TubeBounds(
-            lower=lambda t: np.asarray(center(t), dtype=float) - half,
-            upper=lambda t: np.asarray(center(t), dtype=float) + half,
-        )
-
-
-@dataclass(frozen=True)
-class TubeEval:
-    """All tube quantities at a single (x, t) query."""
-
-    rho_s: np.ndarray
-    rho_d: np.ndarray
-    e: np.ndarray
-    epsilon: np.ndarray
-    xi: np.ndarray
-
-
-def evaluate_tube(
-    bounds: TubeBounds,
-    x,
-    t: float,
-    clip_limit: float = DEFAULT_CLIP_LIMIT,
-) -> TubeEval:
-    """Evaluate sum/difference of bounds, clipped error, transform and gain."""
-    rho_l = np.asarray(bounds.lower(t), dtype=float)
-    rho_u = np.asarray(bounds.upper(t), dtype=float)
-    rho_d = _check_tube(rho_l, rho_u)
-    e = clip_error(normalized_error(x, rho_l, rho_u), clip_limit)
-    return TubeEval(
-        rho_s=rho_u + rho_l,
-        rho_d=rho_d,
-        e=e,
-        epsilon=log_error(e),
-        xi=gain_xi(e, rho_d),
     )

@@ -189,7 +189,6 @@ class TestScenarioIo:
             demo_source="builtin:minjerk",
             method="safedmp",
             dt=0.005,
-            rng_seed=7,
             obstacles=(
                 safe_exec.Obstacle(
                     center0=[0.4, 0.3, 0.25], radius=0.04,
@@ -208,7 +207,6 @@ class TestScenarioIo:
         back = bench.load_scenario(path)
         assert back.name == "demo"  # explicit document name wins over the stem
         assert back.dt == scenario.dt
-        assert back.rng_seed == 7
         np.testing.assert_array_equal(
             back.obstacles[0].center0, scenario.obstacles[0].center0
         )

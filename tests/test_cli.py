@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -197,6 +198,63 @@ class TestRun:
             (tmp_path / "a_metrics.json").read_bytes()
             == (tmp_path / "b_metrics.json").read_bytes()
         )
+
+
+def _nan_center(doc):
+    doc["obstacles"][0]["center"][0] = math.nan
+
+
+def _nan_radius(doc):
+    doc["obstacles"][0]["radius"] = math.nan
+
+
+def _nan_dt(doc):
+    doc["dt"] = math.nan
+
+
+def _nan_t_apply(doc):
+    doc["perturbations"] = [{"t_apply": math.nan, "offset": [0.0, 0.05, 0.0]}]
+
+
+def _negative_goal_tol(doc):
+    doc["execution"]["goal_tol"] = -1.0
+
+
+def _infinite_delta_gamma(doc):
+    doc["safety"]["delta_gamma"] = math.inf
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_nan_center, "center"),
+    (_nan_radius, "radius"),
+    (_nan_dt, "dt"),
+    (_nan_t_apply, "t_apply"),
+    (_negative_goal_tol, "goal_tol"),
+    (_infinite_delta_gamma, "delta_gamma"),
+])
+def test_run_rejects_non_finite_or_out_of_range_input(
+    mutate, field, model_path, tmp_path, capsys
+):
+    doc = json.loads((SCENARIO_DIR / "static_one_sshape.json").read_text())
+    mutate(doc)
+    spath = tmp_path / "bad.json"
+    spath.write_text(json.dumps(doc))
+    code = run_cli("run", "--model", str(model_path), "--scenario", str(spath),
+                   "--out", str(tmp_path / "bad"))
+    assert code == cli.EXIT_INPUT
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("learn", "--demo", "builtin:minjerk", "--dt", "nan"),
+    ("run", "--scenario", str(SCENARIO_DIR / "free_sshape.json"), "--dt", "0"),
+])
+def test_dt_flag_rejected(argv, model_path, tmp_path, capsys):
+    argv = argv + ("--out", str(tmp_path / "x"))
+    if argv[0] == "run":
+        argv = argv + ("--model", str(model_path))
+    assert run_cli(*argv) == cli.EXIT_INPUT
+    assert "dt" in capsys.readouterr().err
 
 
 class TestBench:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from safedmp import bench, dmp
+from safedmp import bench, dmp, safe_exec
 from safedmp import trajectory as tj
 from safedmp.errors import (
     InsufficientDataError,
@@ -299,37 +299,32 @@ class TestRollout:
 
 
 class TestAdaptTiming:
+    """The engine's coupling routine: leaky deviation filter and dilated tau."""
+
     def test_fixed_point(self):
-        state = dmp.DmpState(
-            x=np.zeros(2), v=np.zeros(2), z=1.0, e_couple=np.zeros(2), tau=1.0
-        )
-        x = np.array([0.1, 0.2])
-        dmp.adapt_timing(state, x, x, 2.5, 50.0, 1.0, 0.005)
-        np.testing.assert_array_equal(state.e_couple, 0.0)
-        assert state.tau == 1.0
+        x = [0.1, 0.2]
+        e, tau = safe_exec.coupling_step([0.0, 0.0], x, x, 0.005, 2.5, 50.0, 1.0)
+        assert e == [0.0, 0.0]
+        assert tau == 1.0
 
     def test_quoted_tau_value(self):
-        state = dmp.DmpState(
-            x=np.zeros(2), v=np.zeros(2), z=1.0,
-            e_couple=np.array([0.1, 0.0]), tau=1.0,
-        )
         # zero deviation and zero dt-step contribution: tau from ||e||^2 alone
-        dmp.adapt_timing(state, np.zeros(2), np.zeros(2), 1e-12, 50.0, 1.0, 1e-12)
-        assert state.tau == pytest.approx(1.0 + 50.0 * 0.01, rel=1e-6)
+        _, tau = safe_exec.coupling_step(
+            [0.1, 0.0], [0.0, 0.0], [0.0, 0.0], 1e-12, 1e-12, 50.0, 1.0
+        )
+        assert tau == pytest.approx(1.0 + 50.0 * 0.01, rel=1e-6)
 
     def test_decay_after_transient(self):
-        state = dmp.DmpState(
-            x=np.zeros(1), v=np.zeros(1), z=1.0, e_couple=np.zeros(1), tau=1.0
-        )
         dt, alpha_e = 0.005, 2.5
+        e, tau = [0.0], 1.0
         # sustained deviation, then release
         for _ in range(400):
-            dmp.adapt_timing(state, np.array([0.1]), np.zeros(1), alpha_e, 50.0, 1.0, dt)
-        assert state.tau > 1.0
+            e, tau = safe_exec.coupling_step(e, [0.1], [0.0], dt, alpha_e, 50.0, 1.0)
+        assert tau > 1.0
         taus = []
         for _ in range(1000):
-            dmp.adapt_timing(state, np.zeros(1), np.zeros(1), alpha_e, 50.0, 1.0, dt)
-            taus.append(state.tau)
+            e, tau = safe_exec.coupling_step(e, [0.0], [0.0], dt, alpha_e, 50.0, 1.0)
+            taus.append(tau)
         assert all(t2 <= t1 for t1, t2 in zip(taus, taus[1:]))
         assert taus[-1] - 1.0 < 1e-3
         assert all(t >= 1.0 for t in taus)

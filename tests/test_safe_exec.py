@@ -7,26 +7,29 @@ from safedmp import bench, safe_exec, stt
 from safedmp.errors import InvalidInputError, SafetyInfeasibleError
 
 
+def project(target, obstacles, delta_gamma, t=0.0, fallback=(0.0, 0.0, 1.0)):
+    table = safe_exec.obstacle_table(obstacles, delta_gamma)
+    return np.asarray(safe_exec.project(table, list(target), t, list(fallback)))
+
+
 class TestObstacle:
     def test_static_position(self):
         obs = safe_exec.Obstacle(center0=[1.0, 2.0, 3.0], radius=0.1)
-        np.testing.assert_array_equal(safe_exec.obstacle_position(obs, 0.0), [1, 2, 3])
-        np.testing.assert_array_equal(safe_exec.obstacle_position(obs, 7.5), [1, 2, 3])
+        np.testing.assert_array_equal(obs.position(0.0), [1, 2, 3])
+        np.testing.assert_array_equal(obs.position(7.5), [1, 2, 3])
 
     def test_constant_velocity(self):
         obs = safe_exec.Obstacle(
             center0=[0.0, 0.0, 0.0], radius=0.1, velocity=[0.1, 0.0, 0.0]
         )
-        np.testing.assert_allclose(
-            safe_exec.obstacle_position(obs, 2.0), [0.2, 0.0, 0.0]
-        )
+        np.testing.assert_allclose(obs.position(2.0), [0.2, 0.0, 0.0])
 
     def test_inactive_reports_infinity(self):
         obs = safe_exec.Obstacle(
             center0=[0.0, 0.0, 0.0], radius=0.1, active_window=(1.0, 2.0)
         )
-        assert np.all(np.isinf(safe_exec.obstacle_position(obs, 0.5)))
-        assert np.all(np.isfinite(safe_exec.obstacle_position(obs, 1.5)))
+        assert np.all(np.isinf(obs.position(0.5)))
+        assert np.all(np.isfinite(obs.position(1.5)))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -35,39 +38,42 @@ class TestObstacle:
             safe_exec.Obstacle(
                 center0=[0.0, 0.0, 0.0], radius=0.1, active_window=(2.0, 1.0)
             )
+        for bad in (
+            dict(center0=[0.0, math.nan, 0.0], radius=0.1),
+            dict(center0=[0.0, 0.0, 0.0], radius=math.nan),
+            dict(center0=[0.0, 0.0, 0.0], radius=math.inf),
+            dict(center0=[0.0, 0.0, 0.0], radius=0.1, velocity=[math.inf, 0, 0]),
+            dict(center0=[0.0, 0.0, 0.0], radius=0.1, active_window=(0.0, math.nan)),
+        ):
+            with pytest.raises(InvalidInputError):
+                safe_exec.Obstacle(**bad)
 
 
 class TestReroute:
     def test_quoted_projection(self):
         obs = safe_exec.Obstacle(center0=[0.0, 0.0, 0.0], radius=0.1)
-        out = safe_exec.reroute(
-            np.array([0.05, 0.0, 0.0]), [obs], t=0.0, delta_gamma=0.1
-        )
+        out = project([0.05, 0.0, 0.0], [obs], delta_gamma=0.1)
         np.testing.assert_allclose(out, [0.15, 0.0, 0.0], atol=1e-12)
 
     def test_outside_buffer_unchanged(self):
         obs = safe_exec.Obstacle(center0=[0.0, 0.0, 0.0], radius=0.1)
         target = np.array([0.5, 0.0, 0.0])
-        out = safe_exec.reroute(target, [obs], t=0.0, delta_gamma=0.1)
+        out = project(target, [obs], delta_gamma=0.1)
         np.testing.assert_array_equal(out, target)
 
     def test_on_sphere_is_fixed_point(self):
         # radius and half-width chosen binary-exact so clearance == 0.25
         obs = safe_exec.Obstacle(center0=[0.0, 0.0, 0.0], radius=0.125)
         target = np.array([0.25, 0.0, 0.0])  # exactly on the clearance sphere
-        out = safe_exec.reroute(target, [obs], t=0.0, delta_gamma=0.25)
+        out = project(target, [obs], delta_gamma=0.25)
         np.testing.assert_array_equal(out, target)
 
     def test_center_fallback_direction(self):
         obs = safe_exec.Obstacle(center0=[0.2, 0.3, 0.4], radius=0.1)
-        out = safe_exec.reroute(
-            np.array([0.2, 0.3, 0.4]), [obs], t=0.0, delta_gamma=0.1
-        )
+        out = project([0.2, 0.3, 0.4], [obs], delta_gamma=0.1)
         np.testing.assert_allclose(out, [0.2, 0.3, 0.55], atol=1e-12)
-        out = safe_exec.reroute(
-            np.array([0.2, 0.3, 0.4]), [obs], t=0.0, delta_gamma=0.1,
-            fallback_dir=np.array([1.0, 0.0, 0.0]),
-        )
+        out = project([0.2, 0.3, 0.4], [obs], delta_gamma=0.1,
+                      fallback=(1.0, 0.0, 0.0))
         np.testing.assert_allclose(out, [0.35, 0.3, 0.4], atol=1e-12)
 
     def test_never_reduces_obstacle_distance(self):
@@ -76,7 +82,7 @@ class TestReroute:
         clearance = 0.08 + 0.05
         for _ in range(200):
             target = rng.normal(size=3) * 0.1
-            out = safe_exec.reroute(target, [obs], t=0.0, delta_gamma=0.1)
+            out = project(target, [obs], delta_gamma=0.1)
             before = np.linalg.norm(target)
             after = np.linalg.norm(out)
             if before <= clearance:
@@ -92,47 +98,46 @@ class TestReroute:
         ]
         for _ in range(300):
             target = rng.uniform(-0.2, 0.6, size=3)
-            out = safe_exec.reroute(target, obstacles, t=0.0, delta_gamma=0.1)
+            out = project(target, obstacles, delta_gamma=0.1)
             for obs in obstacles:
                 assert np.linalg.norm(out - obs.center0) >= 0.1 - 1e-9
 
     def test_overlapping_chain_infeasible(self):
         # a chain of heavily overlapping clearance spheres exhausts the
-        # d+1 projection passes from the middle of the chain
+        # projection passes from the middle of the chain
         obstacles = [
             safe_exec.Obstacle(center0=[0.08 * i, 0.0, 0.0], radius=0.1)
             for i in range(3)
         ]
         with pytest.raises(SafetyInfeasibleError):
-            safe_exec.reroute(
-                np.array([0.04, 0.0, 0.0]), obstacles, t=0.0, delta_gamma=0.1
-            )
+            project([0.04, 0.0, 0.0], obstacles, delta_gamma=0.1)
 
     def test_ignores_inactive(self):
         obs = safe_exec.Obstacle(
             center0=[0.0, 0.0, 0.0], radius=0.1, active_window=(5.0, 6.0)
         )
         target = np.array([0.01, 0.0, 0.0])
-        out = safe_exec.reroute(target, [obs], t=0.0, delta_gamma=0.1)
+        out = project(target, [obs], delta_gamma=0.1)
         np.testing.assert_array_equal(out, target)
 
 
 class TestSttModulation:
     def test_zero_at_center(self):
         params = safe_exec.SafetyParams(delta_gamma=0.1, gain=1.0)
-        x = np.array([0.3, 0.2, 0.1])
-        u, corr = safe_exec.stt_modulation(x, x.copy(), params, 0.005)
-        np.testing.assert_array_equal(u, 0.0)
-        np.testing.assert_array_equal(corr, 0.0)
+        x = [0.3, 0.2, 0.1]
+        u, x_desired, shift = safe_exec.tube_correction(x, x, x, 0.005, params)
+        assert u == [0.0, 0.0, 0.0]
+        assert x_desired == x and shift == 0.0
 
     def test_quoted_value(self):
         params = safe_exec.SafetyParams(delta_gamma=0.1, gain=1.0)
-        u, corr = safe_exec.stt_modulation(
-            np.array([0.025, 0.0, 0.0]), np.zeros(3), params, 0.005
+        u, x_desired, shift = safe_exec.tube_correction(
+            [0.025, 0.0, 0.0], [0.0] * 3, [0.0] * 3, 0.005, params
         )
         expected = -(4.0 / (0.1 * 0.75)) * math.log(3.0)
         assert u[0] == pytest.approx(expected, rel=1e-9)
-        assert corr[0] == pytest.approx(expected * 0.005, rel=1e-9)
+        assert x_desired[0] == pytest.approx(expected * 0.005, rel=1e-9)
+        assert shift == pytest.approx(abs(expected) * 0.005, rel=1e-9)
 
     def test_matches_tube_module_composition(self):
         params = safe_exec.SafetyParams(delta_gamma=0.1, gain=0.7)
@@ -140,7 +145,7 @@ class TestSttModulation:
         for _ in range(50):
             center = rng.normal(size=3)
             x = center + rng.uniform(-0.2, 0.2, size=3)
-            u, _ = safe_exec.stt_modulation(x, center, params, 0.005)
+            u, _, _ = safe_exec.tube_correction(x, center, center, 0.005, params)
             ref = stt.stt_control(
                 x, center - 0.05, center + 0.05, gain=0.7, clip_limit=0.99
             )
@@ -148,12 +153,38 @@ class TestSttModulation:
 
     def test_clip_saturation_bound(self):
         params = safe_exec.SafetyParams(delta_gamma=0.1, gain=1.0)
-        u, _ = safe_exec.stt_modulation(
-            np.array([0.3, 0.0, 0.0]), np.zeros(3), params, 0.005
+        u, _, _ = safe_exec.tube_correction(
+            [0.3, 0.0, 0.0], [0.0] * 3, [0.0] * 3, 0.005, params
         )
         bound = stt.control_magnitude_bound(1.0, 0.1, 0.99)
         assert np.isfinite(u[0])
         assert abs(u[0]) == pytest.approx(bound, rel=1e-9)
+
+    def test_logged_tube_term_matches_reference_law(
+        self, sshape_model, sshape_nominal, standard_impulses
+    ):
+        # lagged plant plus impulses keep the tube term busy; the blocker
+        # makes the tube center (the previous safe point) differ from the
+        # primitive's target
+        obs = bench.random_static_blocker(
+            sshape_nominal.trajectory, np.random.default_rng(0)
+        )
+        params = safe_exec.SafetyParams()
+        engine = safe_exec.SafeDmpEngine(
+            sshape_model, safety=params, obstacles=[obs], dt=0.005
+        )
+        plant = safe_exec.FirstOrderLagPlant(tau_plant=0.05, dt=0.005)
+        log = safe_exec.run(engine, plant=plant, perturbations=standard_impulses)
+        half = 0.5 * params.delta_gamma
+        prev_safe = sshape_model.x0
+        for record in log.records:
+            ref = stt.stt_control(
+                record.x_measured, prev_safe - half, prev_safe + half,
+                params.gain, params.clip_limit,
+            )
+            np.testing.assert_allclose(record.u_stt, ref, rtol=0, atol=1e-12)
+            prev_safe = record.x_safe
+        assert max(np.max(np.abs(r.u_stt)) for r in log.records) > 1e-3
 
 
 class TestEngineReduction:

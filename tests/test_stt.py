@@ -126,35 +126,3 @@ class TestControl:
     def test_rejects_nonpositive_gain(self):
         with pytest.raises(InvalidInputError):
             stt.stt_control(0.5, 0.0, 1.0, gain=0.0)
-
-
-class TestTubeBounds:
-    def test_centered_constructor(self):
-        center = lambda t: np.array([math.sin(t), 0.5 * t])
-        tube = stt.TubeBounds.centered(center, 0.2)
-        np.testing.assert_allclose(tube.upper(0.3) - tube.lower(0.3), 0.2)
-        np.testing.assert_allclose(
-            0.5 * (tube.upper(0.3) + tube.lower(0.3)), center(0.3)
-        )
-
-    def test_evaluate_tube_fields(self):
-        tube = stt.TubeBounds(lower=lambda t: np.array([0.0]),
-                              upper=lambda t: np.array([2.0]))
-        ev = stt.evaluate_tube(tube, np.array([1.5]), 0.0)
-        assert ev.rho_s[0] == pytest.approx(2.0)
-        assert ev.rho_d[0] == pytest.approx(2.0)
-        assert ev.e[0] == pytest.approx(0.5)
-        assert ev.epsilon[0] == pytest.approx(math.log(3.0))
-        assert ev.xi[0] == pytest.approx(8.0 / 3.0)
-
-    def test_evaluate_clips(self):
-        tube = stt.TubeBounds(lower=lambda t: np.array([0.0]),
-                              upper=lambda t: np.array([2.0]))
-        ev = stt.evaluate_tube(tube, np.array([5.0]), 0.0)
-        assert ev.e[0] == pytest.approx(0.99)
-
-    def test_invalid_bounds_at_evaluation(self):
-        tube = stt.TubeBounds(lower=lambda t: np.array([1.0]),
-                              upper=lambda t: np.array([1.0]))
-        with pytest.raises(InvalidTubeError):
-            stt.evaluate_tube(tube, np.array([1.0]), 0.0)
