@@ -49,7 +49,7 @@ def main():
                                 nominal.trajectory.points]),
                delimiter=",", header="t,x0,x1,x2", comments="")
     np.savetxt(OUT / "detour_executed.csv",
-               np.column_stack([log.times(), log.measured_positions()]),
+               np.column_stack([log.t, log.x_measured]),
                delimiter=",", header="t,x0,x1,x2", comments="")
     print(f"wrote {OUT / 'detour_nominal.csv'} and {OUT / 'detour_executed.csv'}")
 

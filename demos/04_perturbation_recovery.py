@@ -26,7 +26,7 @@ def main():
     conv_safe = bench.convergence_time_perturb(
         log_safe, nominal.trajectory, impulses
     )
-    taus = np.array([r.tau for r in log_safe.records])
+    taus = log_safe.tau
     print(f"\nsafedmp:  re-converged in {conv_safe * 1000:.1f} ms on average; "
           f"time scale peaked {taus.max() - model.tau_nominal:.2e} s above "
           f"nominal and settled back (final excess "

@@ -31,13 +31,13 @@ def main():
         model, obstacles=[obstacle], nominal_reference=nominal.trajectory
     )
     speed = np.linalg.norm(
-        np.diff(log_apf.measured_positions(), axis=0) / log_apf.dt, axis=1
+        np.diff(log_apf.x_measured, axis=0) / log_apf.dt, axis=1
     )
     print(f"\ndmp-apf: converged={log_apf.converged}, "
           f"stall detected={bench.stall_detected(log_apf)}, "
           f"oscillation={bench.oscillation_flag(log_apf)}, "
           f"collisions={bench.collision_count(log_apf)}")
-    print(f"         final position x={log_apf.records[-1].x_measured[0]:.3f} m "
+    print(f"         final position x={log_apf.x_measured[-1, 0]:.3f} m "
           f"(goal at 0.6), median speed {np.median(speed):.2e} m/s")
 
     engine = safe_exec.SafeDmpEngine(model, obstacles=[obstacle], dt=0.005)

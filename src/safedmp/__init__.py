@@ -36,7 +36,6 @@ from .safe_exec import (
     Obstacle,
     SafeDmpEngine,
     SafetyParams,
-    StepRecord,
     run,
 )
 from .stt import stt_control
@@ -62,7 +61,7 @@ __all__ = [
     "DmpModel", "DmpState", "learn_from_trajectory", "learn_weights",
     "load_model", "retarget", "rollout", "save_model",
     "ExecutionLog", "FirstOrderLagPlant", "IdealPlant", "Obstacle",
-    "SafeDmpEngine", "SafetyParams", "StepRecord", "run",
+    "SafeDmpEngine", "SafetyParams", "run",
     "stt_control",
     "DerivedKinematics", "TimedTrajectory", "finite_differences",
     "lift_to_3d", "low_pass", "preprocess", "read_demo_csv", "resample",

@@ -15,6 +15,7 @@ recorded, not avoided.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import dmp
 from .errors import InvalidInputError
-from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT, StepRecord
+from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT
 from .trajectory import TimedTrajectory
 
 DEFAULT_ETA = 0.01
@@ -112,8 +113,8 @@ class ApfEngine:
         delta_gamma: float = DEFAULT_DELTA_GAMMA,
         nominal_reference: TimedTrajectory | None = None,
     ):
-        if dt <= 0:
-            raise InvalidInputError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise InvalidInputError("dt must be positive and finite")
         self.model = model
         self.params = params if params is not None else ApfParams()
         self.obstacles = tuple(obstacles)
@@ -121,7 +122,7 @@ class ApfEngine:
         self.goal_tol = goal_tol
         self.delta_gamma = delta_gamma
         self.state = dmp.initial_state(model)
-        self.records: list[StepRecord] = []
+        self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
         self._max_force = (
             self.params.max_force
@@ -152,30 +153,23 @@ class ApfEngine:
         return state.x
 
     def step(self, x_measured: np.ndarray, t: float) -> np.ndarray:
+        """Timed control computation plus one log row; returns the command.
+
+        The method has no projection, so the logged safe position is the
+        command itself.
+        """
         start = time.perf_counter()
         x_next = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
-        k = len(self.records)
-        if self._nominal is not None and k < self._nominal.n:
-            x_nominal = self._nominal.points[k]
-        elif self._nominal is not None:
-            x_nominal = self._nominal.points[-1]
+        if self._nominal is not None:
+            points = self._nominal.points
+            x_nominal = points[min(len(self.rows), points.shape[0] - 1)]
         else:
             x_nominal = x_measured
-        self.records.append(
-            StepRecord(
-                t=t,
-                x_nominal=np.asarray(x_nominal, dtype=float).copy(),
-                x_target=np.asarray(x_measured, dtype=float).copy(),
-                x_safe=np.asarray(x_measured, dtype=float).copy(),
-                x_desired=np.asarray(x_next, dtype=float).copy(),
-                x_measured=np.asarray(x_measured, dtype=float).copy(),
-                tau=self.state.tau,
-                z=self.state.z,
-                min_clearance=self._min_surface_clearance(x_measured, t),
-                u_stt=np.zeros(self.model.d),
-            )
-        )
+        self.rows.append((
+            t, *x_nominal, *x_next, *x_next, *x_measured, self.state.tau,
+            self.state.z, self._min_surface_clearance(x_measured, t),
+        ))
         return x_next
 
     def _min_surface_clearance(self, x: np.ndarray, t: float) -> float:

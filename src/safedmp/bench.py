@@ -142,8 +142,8 @@ def mae(
 def _deviation_from_nominal(
     log: safe_exec.ExecutionLog, nominal: trajectory.TimedTrajectory
 ) -> np.ndarray:
-    times = log.times()
-    measured = log.measured_positions()
+    times = log.t
+    measured = log.x_measured
     ref = np.empty_like(measured)
     for i in range(nominal.d):
         ref[:, i] = np.interp(times, nominal.times, nominal.points[:, i])
@@ -167,7 +167,7 @@ def convergence_time_perturb(
     if not perturbations:
         raise UndefinedMetricError("scenario has no perturbations")
     deviation = _deviation_from_nominal(log, nominal)
-    times = log.times()
+    times = log.t
     below = deviation < tol
     results = []
     for pert in perturbations:
@@ -203,7 +203,7 @@ def convergence_time_oa(
 
 def collision_count(log: safe_exec.ExecutionLog) -> int:
     """Number of samples whose measured position penetrates an obstacle."""
-    return int(sum(1 for r in log.records if r.min_clearance < 0.0))
+    return int(np.count_nonzero(log.min_clearance < 0.0))
 
 
 def oscillation_flag(
@@ -221,7 +221,7 @@ def oscillation_flag(
     """
     if log.steps < 3:
         return False
-    measured = log.measured_positions()
+    measured = log.x_measured
     dt = log.dt
     vel = np.diff(measured, axis=0) / dt
     # trailing average: the recent motion trend a reversal must oppose
@@ -254,7 +254,7 @@ def stall_detected(
     """True when the motion sits nearly still away from the goal for long."""
     if log.steps < 3:
         return False
-    measured = log.measured_positions()
+    measured = log.x_measured
     dt = log.dt
     speed = np.linalg.norm(np.diff(measured, axis=0) / dt, axis=1)
     if goal_radius is None:
@@ -395,18 +395,20 @@ def standard_perturbations(
 
 def evaluate(
     prepared: PreparedScenario,
+    log: safe_exec.ExecutionLog,
     method: str | None = None,
     with_timing: bool = False,
 ) -> MetricsReport:
-    """Run one (method, scenario) cell and compute every metric.
+    """Compute every metric of one (method, scenario) cell from its main run.
 
-    Runs the scenario as given; when it carries perturbations an unperturbed
-    twin provides the nominal-conditions error, and when it carries
-    obstacles an obstacle-free twin provides the baseline time to goal.
+    ``log`` is the scenario's run as given (see :func:`run_scenario`); only
+    the twins are simulated here.  When the scenario carries perturbations
+    an unperturbed twin provides the nominal-conditions error, and when it
+    carries obstacles an obstacle-free twin provides the baseline time to
+    goal.
     """
     scenario = prepared.scenario
     method = method or scenario.method
-    log = run_scenario(prepared, method)
 
     has_perts = bool(scenario.perturbations)
     has_obstacles = bool(scenario.obstacles)
@@ -423,7 +425,7 @@ def evaluate(
         log_free = log_unperturbed
 
     def measured_traj(a_log):
-        return trajectory.TimedTrajectory(a_log.times(), a_log.measured_positions())
+        return trajectory.TimedTrajectory(a_log.t, a_log.x_measured)
 
     mae_nominal = mae(measured_traj(log_unperturbed), prepared.nominal)
     mae_perturbed = mae(measured_traj(log), prepared.nominal) if has_perts else None
@@ -537,7 +539,9 @@ def compare(
         try:
             if scenario.name not in prepared_cache:
                 prepared_cache[scenario.name] = prepare(scenario)
-            metrics = evaluate(prepared_cache[scenario.name], method, with_timing)
+            prepared = prepared_cache[scenario.name]
+            log = run_scenario(prepared, method)
+            metrics = evaluate(prepared, log, method, with_timing)
             return ReportRow(scenario.name, method, metrics)
         except Exception as exc:  # recorded, not fatal
             return ReportRow(scenario.name, method, None, error=str(exc))

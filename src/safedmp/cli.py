@@ -27,31 +27,23 @@ EXIT_NONCONVERGED = 4
 
 
 def write_log_csv(log: safe_exec.ExecutionLog, path) -> None:
-    """Write the per-step log; floats use shortest round-trip formatting."""
-    if not log.records:
+    """Write ``log.rows`` under the names of :func:`safe_exec.log_columns`.
+
+    Floats use shortest round-trip formatting.
+    """
+    if not log.steps:
         raise InvalidInputError("cannot write an empty execution log")
-    d = log.records[0].x_nominal.shape[0]
-    header = ["t"]
-    for prefix in ("xn", "xs", "xd", "xm"):
-        header += [f"{prefix}_{i}" for i in range(d)]
-    header += ["tau", "z", "min_clearance"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in log.records:
-            row = [repr(float(r.t))]
-            for vec in (r.x_nominal, r.x_safe, r.x_desired, r.x_measured):
-                row += [repr(float(v)) for v in vec]
-            row += [repr(float(r.tau)), repr(float(r.z)),
-                    repr(float(r.min_clearance))]
-            writer.writerow(row)
+        writer.writerow(safe_exec.log_columns(log.goal.shape[0]))
+        writer.writerows([repr(v) for v in row] for row in log.rows.tolist())
 
 
-def read_log_csv(path):
-    """Parse a log written by :func:`write_log_csv` back into plain rows.
+def read_log_csv(path) -> np.ndarray:
+    """Parse a log written by :func:`write_log_csv` back into its rows.
 
-    Returns a list of dicts with keys t, x_nominal, x_safe, x_desired,
-    x_measured, tau, z, min_clearance; values round-trip exactly.
+    Returns the ``(steps, 4d+4)`` float array of ``ExecutionLog.rows``;
+    values round-trip exactly.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -59,9 +51,8 @@ def read_log_csv(path):
             header = next(reader)
         except StopIteration:
             raise ParseError("empty log file", line=1) from None
-        if not header or header[0] != "t" or (len(header) - 4) % 4 != 0:
+        if header != safe_exec.log_columns((len(header) - 4) // 4):
             raise ParseError("malformed log header", line=1)
-        d = (len(header) - 4) // 4
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -71,17 +62,10 @@ def read_log_csv(path):
                     f"expected {len(header)} fields, got {len(row)}", line=lineno
                 )
             try:
-                values = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-            record = {"t": values[0]}
-            offset = 1
-            for key in ("x_nominal", "x_safe", "x_desired", "x_measured"):
-                record[key] = np.asarray(values[offset:offset + d])
-                offset += d
-            record["tau"], record["z"], record["min_clearance"] = values[offset:]
-            rows.append(record)
-    return rows
+    return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def _metrics_json(report: bench.MetricsReport, method: str, scenario: str) -> str:
@@ -112,6 +96,8 @@ def cmd_learn(args) -> int:
         rotation=rotation,
     )
     model = dmp.learn_from_trajectory(demo, n_basis=args.n_basis, alpha=args.alpha)
+    # the goal check also rejects a bad --dt before the model is written
+    goal_check = dmp.rollout(model, args.dt)
     dmp.save_model(model, args.out)
 
     check_dt = 1e-3
@@ -125,7 +111,6 @@ def cmd_learn(args) -> int:
         f"rollout-vs-demo MAE: {fidelity:.6g} m "
         f"({100.0 * fidelity / diagonal:.3g}% of bounding-box diagonal)"
     )
-    goal_check = dmp.rollout(model, args.dt)
     if not goal_check.converged:
         print("warning: rollout did not reach the goal within the horizon",
               file=sys.stderr)
@@ -154,7 +139,7 @@ def cmd_run(args) -> int:
     log_path = prefix.with_name(prefix.name + "_log.csv")
     metrics_path = prefix.with_name(prefix.name + "_metrics.json")
     write_log_csv(log, log_path)
-    metrics = bench.evaluate(prepared, with_timing=args.timing)
+    metrics = bench.evaluate(prepared, log, with_timing=args.timing)
     metrics_path.write_text(
         _metrics_json(metrics, scenario.method, scenario.name), encoding="utf-8"
     )

@@ -114,27 +114,29 @@ class SafetyParams:
             raise InvalidInputError("clip_limit must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One control-loop sample of every trajectory the engine tracks."""
+def log_columns(d: int) -> list[str]:
+    """Column names of a d-dimensional run log, in the order of its rows.
 
-    t: float
-    x_nominal: np.ndarray
-    x_target: np.ndarray
-    x_safe: np.ndarray
-    x_desired: np.ndarray
-    x_measured: np.ndarray
-    tau: float
-    z: float
-    min_clearance: float
-    u_stt: np.ndarray
+    ``t``; the d components each of the nominal (``xn``), safe (``xs``),
+    desired (``xd``) and measured (``xm``) positions; then ``tau``, ``z``
+    and ``min_clearance``.  The CSV log uses the same names and order.
+    """
+    names = ["t"]
+    for prefix in ("xn", "xs", "xd", "xm"):
+        names += [f"{prefix}_{i}" for i in range(d)]
+    return names + ["tau", "z", "min_clearance"]
 
 
 @dataclass
 class ExecutionLog:
-    """Per-step records plus run-level outcome flags and step timing."""
+    """One run's per-step log plus run-level outcome flags and step timing.
 
-    records: list[StepRecord]
+    ``rows`` is a ``(steps, 4d+4)`` float array with one row per control
+    step and the columns of :func:`log_columns`; the properties are views
+    of its columns.
+    """
+
+    rows: np.ndarray
     converged: bool
     safety_infeasible: bool
     dt: float
@@ -144,22 +146,29 @@ class ExecutionLog:
 
     @property
     def steps(self) -> int:
-        return len(self.records)
+        return self.rows.shape[0]
+
+    def _block(self, k: int) -> np.ndarray:
+        d = self.goal.shape[0]
+        return self.rows[:, 1 + k * d: 1 + (k + 1) * d]
+
+    t = property(lambda self: self.rows[:, 0])
+    x_nominal = property(lambda self: self._block(0))
+    x_safe = property(lambda self: self._block(1))
+    x_desired = property(lambda self: self._block(2))
+    x_measured = property(lambda self: self._block(3))
+    tau = property(lambda self: self.rows[:, -3])
+    z = property(lambda self: self.rows[:, -2])
+    min_clearance = property(lambda self: self.rows[:, -1])
 
     def time_to_goal(self) -> float:
         """Duration until convergence; inf when the run did not converge."""
-        if not self.converged or not self.records:
+        if not self.converged or not self.steps:
             return math.inf
-        return self.records[-1].t + self.dt
-
-    def measured_positions(self) -> np.ndarray:
-        return np.asarray([r.x_measured for r in self.records])
-
-    def times(self) -> np.ndarray:
-        return np.asarray([r.t for r in self.records])
+        return float(self.rows[-1, 0]) + self.dt
 
     def min_surface_clearance(self) -> float:
-        return min((r.min_clearance for r in self.records), default=math.inf)
+        return float(self.min_clearance.min()) if self.steps else math.inf
 
 
 # --- the step math -----------------------------------------------------------
@@ -374,7 +383,7 @@ class SafeDmpEngine:
         self.dt = dt
         self.goal_tol = goal_tol
         self.state = dmp.initial_state(model)
-        self.records: list[StepRecord] = []
+        self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
         self._table = obstacle_table(self.obstacles, self.safety.delta_gamma)
 
@@ -469,28 +478,18 @@ class SafeDmpEngine:
             self._fallback = [m / norm for m in motion]
 
     def step(self, x_measured, t: float) -> np.ndarray:
-        """Timed control computation plus log record; returns the command."""
+        """Timed control computation plus one log row; returns the command."""
         start = time.perf_counter()
-        x_desired, x_nominal, x_target, x_safe, u = self.control(x_measured, t)
+        x_desired, x_nominal, _, x_safe, _ = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
         state = self.state
         state.x = np.asarray(self._x)
         state.v = np.asarray(self._v)
         state.e_couple = np.asarray(self._ec)
-        self.records.append(
-            StepRecord(
-                t=t,
-                x_nominal=np.asarray(x_nominal, dtype=float),
-                x_target=np.asarray(x_target, dtype=float),
-                x_safe=np.asarray(x_safe, dtype=float),
-                x_desired=np.asarray(x_desired, dtype=float),
-                x_measured=np.asarray(x_measured, dtype=float).copy(),
-                tau=state.tau,
-                z=state.z,
-                min_clearance=self._min_surface_clearance(x_measured, t),
-                u_stt=np.asarray(u, dtype=float),
-            )
-        )
+        self.rows.append((
+            t, *x_nominal, *x_safe, *x_desired, *x_measured, state.tau, state.z,
+            self._min_surface_clearance(x_measured, t),
+        ))
         return np.asarray(x_desired)
 
     def _min_surface_clearance(self, x, t: float) -> float:
@@ -551,7 +550,7 @@ def run(
 
     seconds = engine.step_seconds
     return ExecutionLog(
-        records=engine.records,
+        rows=np.array(engine.rows, dtype=float).reshape(-1, 4 * model.d + 4),
         converged=converged,
         safety_infeasible=infeasible,
         dt=dt,

@@ -32,8 +32,8 @@ def test_01_tube_collision_invariance(sshape_model, sshape_nominal):
         log = safe_exec.run(engine)
         assert not log.safety_infeasible
         clearance = obs.radius + 0.5 * engine.safety.delta_gamma
-        for record in log.records:
-            dist = float(np.linalg.norm(record.x_measured - obs.center0))
+        for x_measured in log.x_measured:
+            dist = float(np.linalg.norm(x_measured - obs.center0))
             worst_surface = min(worst_surface, dist - obs.radius)
             worst_clearance_gap = min(worst_clearance_gap, dist - clearance)
     elapsed = time.perf_counter() - start
@@ -52,7 +52,7 @@ def test_02_reduction_to_nominal(sshape_model, sshape_nominal):
     assert log.converged
     n = min(log.steps, sshape_nominal.trajectory.n)
     deviation = np.max(np.abs(
-        log.measured_positions()[:n] - sshape_nominal.trajectory.points[:n]
+        log.x_measured[:n] - sshape_nominal.trajectory.points[:n]
     ))
     elapsed = time.perf_counter() - start
     assert deviation < 1e-9
@@ -87,7 +87,7 @@ def test_04_perturbation_recovery(sshape_model, sshape_nominal, standard_impulse
         log_safe, sshape_nominal.trajectory, standard_impulses
     )
     assert math.isfinite(conv_safe)
-    taus = np.array([r.tau for r in log_safe.records])
+    taus = log_safe.tau
     assert taus.max() > sshape_model.tau_nominal
     assert abs(taus[-1] - sshape_model.tau_nominal) < 1e-3
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,11 @@ class TestApfForce:
 
 
 class TestApfRun:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, sshape_model, dt):
+        with pytest.raises(InvalidInputError):
+            baselines.dmp_apf_run(sshape_model, dt=dt)
+
     def test_obstacle_free_reproduces_rollout_bitwise(self, sshape_model):
         nominal = dmp.rollout(sshape_model, 0.005)
         log = baselines.dmp_apf_run(
@@ -79,7 +86,7 @@ class TestApfRun:
         assert log.converged
         n = min(log.steps, nominal.trajectory.n)
         np.testing.assert_array_equal(
-            log.measured_positions()[:n], nominal.trajectory.points[:n]
+            log.x_measured[:n], nominal.trajectory.points[:n]
         )
 
     def test_zero_eta_reproduces_rollout_bitwise(self, sshape_model,
@@ -94,7 +101,7 @@ class TestApfRun:
         )
         n = min(log.steps, sshape_nominal.trajectory.n)
         np.testing.assert_array_equal(
-            log.measured_positions()[:n], sshape_nominal.trajectory.points[:n]
+            log.x_measured[:n], sshape_nominal.trajectory.points[:n]
         )
 
     def test_off_path_obstacle_detour_converges(self, sshape_model, sshape_nominal):
@@ -109,7 +116,7 @@ class TestApfRun:
         # the detour is visible: the executed path deviates from the nominal
         from safedmp.trajectory import TimedTrajectory
 
-        executed = TimedTrajectory(log.times(), log.measured_positions())
+        executed = TimedTrajectory(log.t, log.x_measured)
         assert bench.mae(executed, sshape_nominal.trajectory) > 1e-4
 
     def test_head_on_symmetric_failure(self, straight_line_model):

@@ -46,23 +46,14 @@ class TestMae:
 
 
 def synthetic_log(times, measured, goal, dt, converged=True):
-    records = [
-        safe_exec.StepRecord(
-            t=float(t),
-            x_nominal=np.zeros(measured.shape[1]),
-            x_target=np.zeros(measured.shape[1]),
-            x_safe=np.zeros(measured.shape[1]),
-            x_desired=m.copy(),
-            x_measured=m.copy(),
-            tau=1.0,
-            z=1.0,
-            min_clearance=math.inf,
-            u_stt=np.zeros(measured.shape[1]),
-        )
-        for t, m in zip(times, measured)
-    ]
+    # zero nominal and safe positions, command = measured, tau = z = 1
+    n, d = measured.shape
+    rows = np.column_stack([
+        times, np.zeros((n, 2 * d)), measured, measured,
+        np.ones((n, 2)), np.full(n, math.inf),
+    ])
     return safe_exec.ExecutionLog(
-        records=records, converged=converged, safety_infeasible=False,
+        rows=rows, converged=converged, safety_infeasible=False,
         dt=dt, goal=np.asarray(goal, dtype=float),
         wall_time_mean=0.0, wall_time_p99=0.0,
     )
@@ -250,7 +241,8 @@ class TestEvaluateAndCompare:
             name="static", demo_source="builtin:sshape", obstacles=(obs,)
         )
         prepared = bench.prepare(scenario)
-        report = bench.evaluate(prepared, "safedmp")
+        log = bench.run_scenario(prepared, "safedmp")
+        report = bench.evaluate(prepared, log, "safedmp")
         assert report.converged
         assert report.collision_count == 0
         assert report.min_clearance_m is not None and report.min_clearance_m >= 0.0
@@ -284,14 +276,16 @@ class TestEvaluateAndCompare:
             nominal=nominal.trajectory,
             nominal_converged=nominal.converged,
         )
-        report = bench.evaluate(prepared, "dmp-apf")
         log = bench.run_scenario(prepared, "dmp-apf")
+        report = bench.evaluate(prepared, log, "dmp-apf")
         assert (
             report.oscillation_flag
             or report.collision_count > 0
             or bench.stall_detected(log)
         )
-        safe_report = bench.evaluate(prepared, "safedmp")
+        safe_report = bench.evaluate(
+            prepared, bench.run_scenario(prepared, "safedmp"), "safedmp"
+        )
         assert safe_report.converged and safe_report.collision_count == 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from safedmp import bench, cli, dmp, safe_exec
+from safedmp.errors import ParseError
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -85,11 +87,11 @@ class TestRun:
             "--out", str(tmp_path / "static"),
         )
         assert code == 0
-        rows = cli.read_log_csv(tmp_path / "static_log.csv")
+        min_clearance = cli.read_log_csv(tmp_path / "static_log.csv")[:, -1]
         scenario = bench.load_scenario(SCENARIO_DIR / "static_one_sshape.json")
         r_o = scenario.obstacles[0].radius
-        assert all(row["min_clearance"] >= r_o * 0.0 for row in rows)
-        assert min(row["min_clearance"] for row in rows) >= 0.0
+        assert np.all(min_clearance >= r_o * 0.0)
+        assert min_clearance.min() >= 0.0
 
     def test_log_round_trip_exact(self, model_path, tmp_path):
         run_cli(
@@ -97,7 +99,6 @@ class TestRun:
             "--scenario", str(SCENARIO_DIR / "perturb_two_sshape.json"),
             "--out", str(tmp_path / "pert"),
         )
-        rows = cli.read_log_csv(tmp_path / "pert_log.csv")
         model = dmp.load_model(model_path)
         scenario = bench.load_scenario(SCENARIO_DIR / "perturb_two_sshape.json")
         nominal = dmp.rollout(model, scenario.dt)
@@ -106,16 +107,35 @@ class TestRun:
             nominal=nominal.trajectory, nominal_converged=True,
         )
         log = bench.run_scenario(prepared)
-        assert len(rows) == log.steps
-        for row, record in zip(rows, log.records):
-            assert row["t"] == record.t
-            np.testing.assert_array_equal(row["x_measured"], record.x_measured)
-            np.testing.assert_array_equal(row["x_desired"], record.x_desired)
-            np.testing.assert_array_equal(row["x_nominal"], record.x_nominal)
-            np.testing.assert_array_equal(row["x_safe"], record.x_safe)
-            assert row["tau"] == record.tau
-            assert row["z"] == record.z
-            assert row["min_clearance"] == record.min_clearance
+        assert np.array_equal(cli.read_log_csv(tmp_path / "pert_log.csv"), log.rows)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "t,a_0,b_0,c_0,d_0,tau,z,min_clearance\n",
+        "t,xn_0,xs_0,xd_0,xm_0,tau,z,min_clearance\n0.0,1.0\n",
+        "t,xn_0,xs_0,xd_0,xm_0,tau,z,min_clearance\n0,1,2,3,4,5,6,x\n",
+    ])
+    def test_malformed_log_rejected(self, text, tmp_path):
+        path = tmp_path / "bad_log.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            cli.read_log_csv(path)
+
+    def test_apf_safe_columns_are_its_command(self, model_path, tmp_path):
+        # dmp-apf has no projection: its logged safe position is its command
+        code = run_cli(
+            "run", "--model", str(model_path),
+            "--scenario", str(SCENARIO_DIR / "static_one_sshape.json"),
+            "--method", "dmp-apf", "--out", str(tmp_path / "apf"),
+        )
+        assert code == 0
+        log_path = tmp_path / "apf_log.csv"
+        header = log_path.read_text().splitlines()[0].split(",")
+        xs = [i for i, name in enumerate(header) if name.startswith("xs_")]
+        xd = [i for i, name in enumerate(header) if name.startswith("xd_")]
+        assert len(xs) == len(xd) == 3
+        rows = cli.read_log_csv(log_path)
+        np.testing.assert_array_equal(rows[:, xs], rows[:, xd])
 
     def test_apf_headon_flags(self, tmp_path):
         model_out = tmp_path / "mj.json"
@@ -255,6 +275,49 @@ def test_dt_flag_rejected(argv, model_path, tmp_path, capsys):
         argv = argv + ("--model", str(model_path))
     assert run_cli(*argv) == cli.EXIT_INPUT
     assert "dt" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # nothing written, not even the model
+
+
+class TestRunSimulationCount:
+    """``safedmp run`` simulates its main run once, plus only the twins."""
+
+    @staticmethod
+    def count_runs(monkeypatch, *argv):
+        calls = []
+        original = safe_exec.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(safe_exec, "run", counting_run)
+        assert run_cli(*argv) == 0
+        return len(calls)
+
+    def test_free_scenario_runs_once(self, monkeypatch, tmp_path):
+        model_out = tmp_path / "mj.json"
+        assert run_cli("learn", "--demo", "builtin:minjerk", "--out", str(model_out)) == 0
+        runs = self.count_runs(
+            monkeypatch, "run", "--model", str(model_out),
+            "--scenario", str(SCENARIO_DIR / "free_minjerk.json"),
+            "--out", str(tmp_path / "free"),
+        )
+        assert runs == 1
+
+    def test_obstacles_and_perturbations_run_main_and_two_twins(
+        self, model_path, monkeypatch, tmp_path
+    ):
+        scenario = bench.load_scenario(SCENARIO_DIR / "static_one_sshape.json")
+        scenario = dataclasses.replace(scenario, perturbations=(
+            bench.Perturbation(t_apply=0.5, offset=[0.0, 0.02, 0.0]),
+        ))
+        spath = tmp_path / "kicked.json"
+        bench.save_scenario(scenario, spath)
+        runs = self.count_runs(
+            monkeypatch, "run", "--model", str(model_path),
+            "--scenario", str(spath), "--out", str(tmp_path / "kicked"),
+        )
+        assert runs == 3  # main run, unperturbed twin, obstacle-free twin
 
 
 class TestBench:

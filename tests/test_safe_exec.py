@@ -173,18 +173,29 @@ class TestSttModulation:
         engine = safe_exec.SafeDmpEngine(
             sshape_model, safety=params, obstacles=[obs], dt=0.005
         )
+        # the tube term is not logged: record what each control call returns
+        tube_terms = []
+        control = engine.control
+
+        def recording_control(x_measured, t):
+            result = control(x_measured, t)
+            tube_terms.append(result[4])
+            return result
+
+        engine.control = recording_control
         plant = safe_exec.FirstOrderLagPlant(tau_plant=0.05, dt=0.005)
         log = safe_exec.run(engine, plant=plant, perturbations=standard_impulses)
+        assert len(tube_terms) == log.steps
         half = 0.5 * params.delta_gamma
         prev_safe = sshape_model.x0
-        for record in log.records:
+        for x_measured, x_safe, u in zip(log.x_measured, log.x_safe, tube_terms):
             ref = stt.stt_control(
-                record.x_measured, prev_safe - half, prev_safe + half,
+                x_measured, prev_safe - half, prev_safe + half,
                 params.gain, params.clip_limit,
             )
-            np.testing.assert_allclose(record.u_stt, ref, rtol=0, atol=1e-12)
-            prev_safe = record.x_safe
-        assert max(np.max(np.abs(r.u_stt)) for r in log.records) > 1e-3
+            np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12)
+            prev_safe = x_safe
+        assert max(np.max(np.abs(u)) for u in tube_terms) > 1e-3
 
 
 class TestEngineReduction:
@@ -193,16 +204,15 @@ class TestEngineReduction:
         log = safe_exec.run(engine)
         assert log.converged
         n = min(log.steps, sshape_nominal.trajectory.n)
-        measured = log.measured_positions()[:n]
+        measured = log.x_measured[:n]
         nominal = sshape_nominal.trajectory.points[:n]
         assert np.max(np.abs(measured - nominal)) < 1e-12
 
     def test_single_step_zero_tube_term(self, sshape_model):
         engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
-        x_desired = engine.step(engine.initial_position(), 0.0)
-        record = engine.records[0]
-        np.testing.assert_array_equal(record.u_stt, 0.0)
-        np.testing.assert_array_equal(np.asarray(x_desired), record.x_target)
+        x_desired, _, x_target, _, u = engine.control(engine.initial_position(), 0.0)
+        np.testing.assert_array_equal(u, 0.0)
+        np.testing.assert_array_equal(x_desired, x_target)
 
 
 class TestEngineSafety:
@@ -214,10 +224,9 @@ class TestEngineSafety:
         assert log.converged and not log.safety_infeasible
         assert log.min_surface_clearance() >= obs.radius * 0.0  # never below surface
         clearance = obs.radius + 0.05
-        for record in log.records:
-            dist = np.linalg.norm(record.x_measured - obs.center0)
-            assert dist >= clearance - 1e-9
-            assert record.min_clearance >= 0.0
+        dist = np.linalg.norm(log.x_measured - obs.center0, axis=1)
+        assert np.all(dist >= clearance - 1e-9)
+        assert np.all(log.min_clearance >= 0.0)
 
     def test_randomized_blockers_with_impulses_stay_off_surface(
         self, sshape_model, sshape_nominal
@@ -249,8 +258,7 @@ class TestEngineSafety:
         engine = safe_exec.SafeDmpEngine(sshape_model, obstacles=[obs], dt=0.005)
         log = safe_exec.run(engine)
         assert log.converged
-        for record in log.records:
-            assert record.min_clearance >= 0.0
+        assert np.all(log.min_clearance >= 0.0)
 
     def test_obstacle_on_goal_never_violates(self, straight_line_model):
         m = straight_line_model
@@ -258,8 +266,7 @@ class TestEngineSafety:
         engine = safe_exec.SafeDmpEngine(m, obstacles=[obs], dt=0.005)
         log = safe_exec.run(engine)
         assert not log.converged  # goal is unreachable by construction
-        for record in log.records:
-            assert record.min_clearance >= -1e-9
+        assert np.all(log.min_clearance >= -1e-9)
 
     def test_reroute_applied_to_command(self, straight_line_model):
         m = straight_line_model
@@ -268,9 +275,9 @@ class TestEngineSafety:
         log = safe_exec.run(engine)
         assert log.converged
         clearance = 0.05 + 0.05
-        for record in log.records:
-            assert np.linalg.norm(record.x_desired - obs.center0) >= clearance - 1e-9
-            assert np.linalg.norm(record.x_safe - obs.center0) >= clearance - 1e-9
+        for positions in (log.x_desired, log.x_safe):
+            dist = np.linalg.norm(positions - obs.center0, axis=1)
+            assert np.all(dist >= clearance - 1e-9)
 
 
 class TestAdaptiveTiming:
@@ -279,7 +286,7 @@ class TestAdaptiveTiming:
         engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
         log = safe_exec.run(engine, perturbations=standard_impulses)
         assert log.converged
-        taus = np.array([r.tau for r in log.records])
+        taus = log.tau
         assert np.all(taus >= sshape_model.tau_nominal)
         assert taus.max() > sshape_model.tau_nominal + 1e-9
         assert taus[-1] - sshape_model.tau_nominal < 1e-3
@@ -289,8 +296,8 @@ class TestAdaptiveTiming:
         pert = bench.Perturbation(t_apply=0.5, offset=np.array([0.0, 0.05, 0.0]))
         engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
         log = safe_exec.run(engine, perturbations=[pert])
-        taus = np.array([r.tau for r in log.records])
-        times = log.times()
+        taus = log.tau
+        times = log.t
         peak = np.argmax(taus)
         horizon = times[peak] + 5.0 / sshape_model.alpha_e
         settled = taus[(times > horizon)]
@@ -305,9 +312,9 @@ class TestRunLoop:
         engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
         log = safe_exec.run(engine)
         assert log.converged
-        assert np.linalg.norm(log.records[-1].x_measured - sshape_model.g) < 2e-3
+        assert np.linalg.norm(log.x_measured[-1] - sshape_model.g) < 2e-3
         assert log.steps > 0
-        times = log.times()
+        times = log.t
         assert np.all(np.diff(times) > 0)
 
     def test_max_steps_flagging(self, straight_line_model):
@@ -323,10 +330,7 @@ class TestRunLoop:
 
         a, b = one_run(), one_run()
         assert a.steps == b.steps
-        for ra, rb in zip(a.records, b.records):
-            np.testing.assert_array_equal(ra.x_measured, rb.x_measured)
-            np.testing.assert_array_equal(ra.x_desired, rb.x_desired)
-            assert ra.tau == rb.tau and ra.z == rb.z
+        np.testing.assert_array_equal(a.rows, b.rows)
 
     def test_first_order_lag_plant_tracks(self, sshape_model):
         engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
