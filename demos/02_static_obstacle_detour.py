@@ -41,7 +41,7 @@ def main():
           f"{log.min_surface_clearance():.4f} m (never below zero)")
 
     free = safe_exec.run(safe_exec.SafeDmpEngine(model, dt=0.005))
-    overhead = bench.convergence_time_oa(log, free, 1)
+    overhead = bench.convergence_time_oa(log.time_to_goal(), free.time_to_goal(), 1)
     print(f"extra time to goal attributable to the detour: {overhead:.3f} s")
 
     np.savetxt(OUT / "detour_nominal.csv",

@@ -47,12 +47,14 @@ class ApfParams:
     max_force: float | None = None
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise InvalidInputError("eta must be non-negative (0 disables coupling)")
-        if self.d0 is not None and self.d0 <= 0:
-            raise InvalidInputError("d0 must be positive")
-        if self.max_force is not None and self.max_force <= 0:
-            raise InvalidInputError("max_force must be positive")
+        if not 0.0 <= self.eta < math.inf:
+            raise InvalidInputError(
+                "eta must be non-negative and finite (0 disables coupling)"
+            )
+        for name in ("d0", "max_force"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
 
 
 def default_max_force(model: dmp.DmpModel) -> float:

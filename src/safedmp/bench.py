@@ -186,19 +186,22 @@ def convergence_time_perturb(
 
 
 def convergence_time_oa(
-    log_with_obstacles: safe_exec.ExecutionLog,
-    log_nominal: safe_exec.ExecutionLog,
+    time_with_obstacles: float,
+    time_free: float,
     n_obstacles: int,
 ) -> float:
-    """Extra time to goal attributable to avoidance, per obstacle."""
+    """Extra time to goal attributable to avoidance, per obstacle.
+
+    Takes the two runs' times to goal (``ExecutionLog.time_to_goal``), where
+    infinity means the run did not converge.
+    """
     if n_obstacles == 0:
         return 0.0
-    if not (log_with_obstacles.converged and log_nominal.converged):
+    if math.isinf(time_with_obstacles) or math.isinf(time_free):
         raise UndefinedMetricError(
             "convergence_time_oa needs both runs to have converged"
         )
-    delta = log_with_obstacles.time_to_goal() - log_nominal.time_to_goal()
-    return max(0.0, delta) / n_obstacles
+    return max(0.0, time_with_obstacles - time_free) / n_obstacles
 
 
 def collision_count(log: safe_exec.ExecutionLog) -> int:
@@ -274,7 +277,11 @@ def stall_detected(
 
 @dataclass(frozen=True)
 class PreparedScenario:
-    """Model and nominal plan shared by every run of one scenario."""
+    """Model and nominal plan shared by every run of one scenario.
+
+    ``nominal`` must be the rollout :func:`plan` makes (the scenario's dt,
+    goal tolerance and step cap): :func:`unperturbed_twin` reads runs off it.
+    """
 
     scenario: Scenario
     model: dmp.DmpModel
@@ -284,7 +291,7 @@ class PreparedScenario:
 
 
 def prepare(scenario: Scenario) -> PreparedScenario:
-    """Load and preprocess the demonstration, learn the model, roll out."""
+    """Load and preprocess the demonstration, learn the model, then :func:`plan`."""
     demo_raw = trajectory.load_demo(scenario.demo_source)
     if demo_raw.n < scenario.dmp_n_basis:
         raise InvalidInputError(
@@ -302,9 +309,19 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     model = dmp.learn_from_trajectory(
         demo, n_basis=scenario.dmp_n_basis, alpha=scenario.dmp_alpha
     )
-    nominal = dmp.rollout(
-        model, scenario.dt, goal_tol=scenario.execution.goal_tol
-    )
+    return plan(scenario, model, demo)
+
+
+def plan(
+    scenario: Scenario,
+    model: dmp.DmpModel,
+    demo: trajectory.TimedTrajectory | None = None,
+) -> PreparedScenario:
+    """Check the perturbations against the horizon and roll out the nominal.
+
+    The rollout's step cap is the one :func:`run_scenario` gives the engine.
+    ``demo`` defaults to the nominal when the model was loaded, not learned.
+    """
     horizon = scenario.execution.max_horizon_factor * model.tau_nominal
     for pert in scenario.perturbations:
         if pert.t_apply > horizon:
@@ -312,10 +329,13 @@ def prepare(scenario: Scenario) -> PreparedScenario:
                 f"perturbation at t={pert.t_apply} s lies beyond the "
                 f"{horizon:.3g} s execution horizon"
             )
+    nominal = dmp.rollout(
+        model, scenario.dt, horizon=horizon, goal_tol=scenario.execution.goal_tol
+    )
     return PreparedScenario(
         scenario=scenario,
         model=model,
-        demo=demo,
+        demo=nominal.trajectory if demo is None else demo,
         nominal=nominal.trajectory,
         nominal_converged=nominal.converged,
     )
@@ -393,6 +413,33 @@ def standard_perturbations(
     )
 
 
+def unperturbed_twin(
+    prepared: PreparedScenario,
+    method: str | None = None,
+    with_obstacles: bool = True,
+) -> tuple[trajectory.TimedTrajectory, float]:
+    """Measured path and time to goal of the scenario's unperturbed run.
+
+    Under the ideal plant an obstacle-free run reproduces the nominal
+    rollout bit for bit, for both methods, so it is read off
+    ``prepared.nominal`` instead of simulated.  The log holds the position
+    before each step, so the rollout's last point is never a measured
+    sample.  Runs with obstacles or under another plant are simulated.
+    """
+    scenario = prepared.scenario
+    if scenario.execution.plant != "ideal" or (with_obstacles and scenario.obstacles):
+        log = run_scenario(
+            prepared, method, with_perturbations=False, with_obstacles=with_obstacles
+        )
+        return trajectory.TimedTrajectory(log.t, log.x_measured), log.time_to_goal()
+    nominal = prepared.nominal
+    path = trajectory.TimedTrajectory(nominal.times[:-1], nominal.points[:-1])
+    if not prepared.nominal_converged:
+        return path, math.inf
+    # the float expression of ExecutionLog.time_to_goal: last t plus dt
+    return path, (nominal.n - 2) * scenario.dt + scenario.dt
+
+
 def evaluate(
     prepared: PreparedScenario,
     log: safe_exec.ExecutionLog,
@@ -402,10 +449,10 @@ def evaluate(
     """Compute every metric of one (method, scenario) cell from its main run.
 
     ``log`` is the scenario's run as given (see :func:`run_scenario`); only
-    the twins are simulated here.  When the scenario carries perturbations
-    an unperturbed twin provides the nominal-conditions error, and when it
-    carries obstacles an obstacle-free twin provides the baseline time to
-    goal.
+    the twins come from :func:`unperturbed_twin`.  When the scenario carries
+    perturbations an unperturbed twin provides the nominal-conditions error,
+    and when it carries obstacles an obstacle-free twin provides the
+    baseline time to goal.
     """
     scenario = prepared.scenario
     method = method or scenario.method
@@ -413,22 +460,14 @@ def evaluate(
     has_perts = bool(scenario.perturbations)
     has_obstacles = bool(scenario.obstacles)
 
+    measured = trajectory.TimedTrajectory(log.t, log.x_measured)
     if has_perts:
-        log_unperturbed = run_scenario(prepared, method, with_perturbations=False)
+        unperturbed, unperturbed_time = unperturbed_twin(prepared, method)
     else:
-        log_unperturbed = log
-    if has_obstacles:
-        log_free = run_scenario(
-            prepared, method, with_perturbations=False, with_obstacles=False
-        )
-    else:
-        log_free = log_unperturbed
+        unperturbed, unperturbed_time = measured, log.time_to_goal()
 
-    def measured_traj(a_log):
-        return trajectory.TimedTrajectory(a_log.t, a_log.x_measured)
-
-    mae_nominal = mae(measured_traj(log_unperturbed), prepared.nominal)
-    mae_perturbed = mae(measured_traj(log), prepared.nominal) if has_perts else None
+    mae_nominal = mae(unperturbed, prepared.nominal)
+    mae_perturbed = mae(measured, prepared.nominal) if has_perts else None
 
     if has_perts:
         conv_perturb = convergence_time_perturb(
@@ -441,9 +480,10 @@ def evaluate(
 
     conv_oa = None
     if has_obstacles:
+        _, free_time = unperturbed_twin(prepared, method, with_obstacles=False)
         try:
             conv_oa = convergence_time_oa(
-                log_unperturbed, log_free, len(scenario.obstacles)
+                unperturbed_time, free_time, len(scenario.obstacles)
             )
         except UndefinedMetricError:
             conv_oa = None

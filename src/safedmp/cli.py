@@ -125,14 +125,7 @@ def cmd_run(args) -> int:
     if args.dt is not None:
         scenario = dataclasses.replace(scenario, dt=args.dt)
 
-    nominal = dmp.rollout(model, scenario.dt, goal_tol=scenario.execution.goal_tol)
-    prepared = bench.PreparedScenario(
-        scenario=scenario,
-        model=model,
-        demo=nominal.trajectory,
-        nominal=nominal.trajectory,
-        nominal_converged=nominal.converged,
-    )
+    prepared = bench.plan(scenario, model)
     log = bench.run_scenario(prepared)
     prefix = pathlib.Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)

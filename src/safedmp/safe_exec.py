@@ -332,8 +332,8 @@ class FirstOrderLagPlant:
     """
 
     def __init__(self, tau_plant: float, dt: float):
-        if tau_plant <= 0 or dt <= 0:
-            raise InvalidInputError("tau_plant and dt must be positive")
+        if not (0.0 < tau_plant < math.inf and 0.0 < dt < math.inf):
+            raise InvalidInputError("tau_plant and dt must be positive and finite")
         self._blend = 1.0 - math.exp(-dt / tau_plant)
         self._x = None
 

@@ -71,6 +71,14 @@ class TestApfForce:
         with pytest.raises(InvalidInputError):
             baselines.ApfParams(eta=0.1, d0=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eta", math.nan), ("eta", math.inf), ("d0", math.nan), ("d0", math.inf),
+        ("max_force", math.nan), ("max_force", math.inf),
+    ])
+    def test_non_finite_param_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            baselines.ApfParams(**{field: value})
+
 
 class TestApfRun:
     @pytest.mark.parametrize("dt", [math.nan, math.inf])

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ import pytest
 from safedmp import bench, dmp, safe_exec
 from safedmp import trajectory as tj
 from safedmp.errors import InvalidInputError, UndefinedMetricError
+
+SCENARIO_PATHS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")
+)
 
 
 def line_traj(n=100, d=3, duration=1.0):
@@ -108,34 +113,109 @@ class TestConvergenceTimePerturb:
 
 
 class TestConvergenceTimeOa:
-    def two_logs(self, steps_with, steps_free):
-        times_w = np.arange(steps_with) * 0.01
-        times_f = np.arange(steps_free) * 0.01
-        log_w = synthetic_log(times_w, np.zeros((steps_with, 3)), [0, 0, 0], 0.01)
-        log_f = synthetic_log(times_f, np.zeros((steps_free, 3)), [0, 0, 0], 0.01)
-        return log_w, log_f
+    @staticmethod
+    def time_to_goal(steps, converged=True):
+        times = np.arange(steps) * 0.01
+        log = synthetic_log(times, np.zeros((steps, 3)), [0, 0, 0], 0.01, converged)
+        return log.time_to_goal()
 
     def test_zero_obstacles(self):
-        log_w, log_f = self.two_logs(100, 100)
-        assert bench.convergence_time_oa(log_w, log_f, 0) == 0.0
+        t_w, t_f = self.time_to_goal(100), self.time_to_goal(100)
+        assert bench.convergence_time_oa(t_w, t_f, 0) == 0.0
 
     def test_identical_runs_within_dt(self):
-        log_w, log_f = self.two_logs(100, 100)
-        assert bench.convergence_time_oa(log_w, log_f, 1) == 0.0
+        t_w, t_f = self.time_to_goal(100), self.time_to_goal(100)
+        assert bench.convergence_time_oa(t_w, t_f, 1) == 0.0
 
     def test_positive_overhead_per_obstacle(self):
-        log_w, log_f = self.two_logs(160, 100)
-        assert bench.convergence_time_oa(log_w, log_f, 2) == pytest.approx(0.3)
+        t_w, t_f = self.time_to_goal(160), self.time_to_goal(100)
+        assert bench.convergence_time_oa(t_w, t_f, 2) == pytest.approx(0.3)
 
     def test_negative_clamped(self):
-        log_w, log_f = self.two_logs(90, 100)
-        assert bench.convergence_time_oa(log_w, log_f, 1) == 0.0
+        t_w, t_f = self.time_to_goal(90), self.time_to_goal(100)
+        assert bench.convergence_time_oa(t_w, t_f, 1) == 0.0
 
     def test_nonconverged_undefined(self):
-        log_w, log_f = self.two_logs(100, 100)
-        log_w.converged = False
-        with pytest.raises(UndefinedMetricError):
-            bench.convergence_time_oa(log_w, log_f, 1)
+        converged = self.time_to_goal(100)
+        stuck = self.time_to_goal(100, converged=False)
+        assert stuck == math.inf
+        for t_w, t_f in ((stuck, converged), (converged, stuck)):
+            with pytest.raises(UndefinedMetricError):
+                bench.convergence_time_oa(t_w, t_f, 1)
+
+
+@pytest.fixture(scope="module")
+def canned_prepared():
+    return {p.stem: bench.prepare(bench.load_scenario(p)) for p in SCENARIO_PATHS}
+
+
+class TestUnperturbedTwin:
+    """Under the ideal plant the obstacle-free twin is the nominal rollout."""
+
+    @staticmethod
+    def assert_derived_equals_simulated(prepared, method, monkeypatch):
+        log = bench.run_scenario(
+            prepared, method, with_perturbations=False, with_obstacles=False
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "run_scenario", None)  # the twin must not simulate
+            path, time_to_goal = bench.unperturbed_twin(
+                prepared, method, with_obstacles=False
+            )
+        assert np.array_equal(path.times, log.t)
+        assert np.array_equal(path.points, log.x_measured)
+        assert time_to_goal == log.time_to_goal()
+        assert prepared.nominal_converged == log.converged
+
+    def test_ten_canned_scenarios(self):
+        assert len(SCENARIO_PATHS) == 10
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    @pytest.mark.parametrize("name", [p.stem for p in SCENARIO_PATHS])
+    def test_canned_twin_equals_simulated_run(
+        self, name, method, canned_prepared, monkeypatch
+    ):
+        prepared = canned_prepared[name]
+        assert prepared.scenario.execution.plant == "ideal"
+        self.assert_derived_equals_simulated(prepared, method, monkeypatch)
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_step_cap_follows_horizon_factor(self, method, sshape_model, monkeypatch):
+        # a horizon too short to converge: rollout and run stop at one cap
+        scenario = bench.Scenario(
+            name="short", execution=bench.ExecutionOptions(max_horizon_factor=0.5)
+        )
+        prepared = bench.plan(scenario, sshape_model)
+        assert not prepared.nominal_converged
+        assert prepared.nominal.n - 1 == round(0.5 * sshape_model.tau_nominal / 0.005)
+        self.assert_derived_equals_simulated(prepared, method, monkeypatch)
+        assert bench.unperturbed_twin(prepared, method)[1] == math.inf
+
+    def test_lag_plant_twin_is_simulated(self, sshape_model):
+        scenario = bench.Scenario(
+            name="lag", execution=bench.ExecutionOptions(plant="first-order-lag")
+        )
+        prepared = bench.plan(scenario, sshape_model)
+        path, time_to_goal = bench.unperturbed_twin(prepared, with_obstacles=False)
+        log = bench.run_scenario(prepared, with_perturbations=False)
+        assert np.array_equal(path.points, log.x_measured)
+        assert time_to_goal == log.time_to_goal()
+        # the lag makes this twin differ from the rollout
+        assert not np.array_equal(path.points, prepared.nominal.points[:-1])
+
+
+class TestPlan:
+    def test_perturbation_beyond_horizon_rejected(self, sshape_model):
+        scenario = bench.Scenario(perturbations=(
+            bench.Perturbation(t_apply=1000.0, offset=[0.0, 0.05, 0.0]),
+        ))
+        with pytest.raises(InvalidInputError, match="execution horizon"):
+            bench.plan(scenario, sshape_model)
+
+    def test_loaded_model_uses_nominal_as_demo(self, sshape_model):
+        prepared = bench.plan(bench.Scenario(), sshape_model)
+        assert prepared.demo is prepared.nominal
+        assert prepared.nominal_converged
 
 
 class TestOscillationAndStall:

@@ -205,6 +205,21 @@ class TestRun:
         )
         assert code == cli.EXIT_NONCONVERGED
 
+    def test_perturbation_beyond_horizon_rejected(self, model_path, tmp_path, capsys):
+        # run and bench plan through the same check: 1000 s is past 20 tau
+        doc = json.loads((SCENARIO_DIR / "perturb_two_sshape.json").read_text())
+        doc["perturbations"].append({"t_apply": 1000.0, "offset": [0.0, 0.05, 0.0]})
+        spath = tmp_path / "late.json"
+        spath.write_text(json.dumps(doc))
+        code = run_cli("run", "--model", str(model_path), "--scenario", str(spath),
+                       "--out", str(tmp_path / "late"))
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "execution horizon" in err
+        assert not any(tmp_path.glob("late_*"))
+        [row] = bench.compare([bench.load_scenario(spath)], methods=("safedmp",))
+        assert row.error in err
+
     def test_run_byte_determinism(self, model_path, tmp_path):
         for tag in ("a", "b"):
             code = run_cli(
@@ -244,6 +259,18 @@ def _infinite_delta_gamma(doc):
     doc["safety"]["delta_gamma"] = math.inf
 
 
+def _nan_apf_eta(doc):
+    doc.setdefault("apf", {})["eta"] = math.nan
+
+
+def _infinite_apf_d0(doc):
+    doc.setdefault("apf", {})["d0"] = math.inf
+
+
+def _nan_apf_max_force(doc):
+    doc.setdefault("apf", {})["max_force"] = math.nan
+
+
 @pytest.mark.parametrize("mutate, field", [
     (_nan_center, "center"),
     (_nan_radius, "radius"),
@@ -251,6 +278,9 @@ def _infinite_delta_gamma(doc):
     (_nan_t_apply, "t_apply"),
     (_negative_goal_tol, "goal_tol"),
     (_infinite_delta_gamma, "delta_gamma"),
+    (_nan_apf_eta, "eta"),
+    (_infinite_apf_d0, "d0"),
+    (_nan_apf_max_force, "max_force"),
 ])
 def test_run_rejects_non_finite_or_out_of_range_input(
     mutate, field, model_path, tmp_path, capsys
@@ -304,18 +334,46 @@ class TestRunSimulationCount:
         )
         assert runs == 1
 
-    def test_obstacles_and_perturbations_run_main_and_two_twins(
-        self, model_path, monkeypatch, tmp_path
-    ):
+    @staticmethod
+    def kicked_scenario(tmp_path, plant="ideal"):
         scenario = bench.load_scenario(SCENARIO_DIR / "static_one_sshape.json")
-        scenario = dataclasses.replace(scenario, perturbations=(
-            bench.Perturbation(t_apply=0.5, offset=[0.0, 0.02, 0.0]),
-        ))
+        scenario = dataclasses.replace(
+            scenario,
+            perturbations=(bench.Perturbation(t_apply=0.5, offset=[0.0, 0.02, 0.0]),),
+            execution=dataclasses.replace(scenario.execution, plant=plant),
+        )
         spath = tmp_path / "kicked.json"
         bench.save_scenario(scenario, spath)
+        return spath
+
+    @pytest.mark.parametrize("name", ["static_one_sshape", "perturb_two_sshape"])
+    def test_ideal_plant_twin_comes_from_the_rollout(
+        self, name, model_path, monkeypatch, tmp_path
+    ):
         runs = self.count_runs(
             monkeypatch, "run", "--model", str(model_path),
-            "--scenario", str(spath), "--out", str(tmp_path / "kicked"),
+            "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+            "--out", str(tmp_path / name),
+        )
+        assert runs == 1
+
+    def test_obstacles_and_perturbations_run_main_and_unperturbed_twin(
+        self, model_path, monkeypatch, tmp_path
+    ):
+        runs = self.count_runs(
+            monkeypatch, "run", "--model", str(model_path),
+            "--scenario", str(self.kicked_scenario(tmp_path)),
+            "--out", str(tmp_path / "kicked"),
+        )
+        # main run and the unperturbed twin with obstacles; the obstacle-free
+        # twin is the nominal rollout
+        assert runs == 2
+
+    def test_lag_plant_runs_main_and_two_twins(self, model_path, monkeypatch, tmp_path):
+        runs = self.count_runs(
+            monkeypatch, "run", "--model", str(model_path),
+            "--scenario", str(self.kicked_scenario(tmp_path, "first-order-lag")),
+            "--out", str(tmp_path / "kicked"),
         )
         assert runs == 3  # main run, unperturbed twin, obstacle-free twin
 

@@ -338,6 +338,14 @@ class TestRunLoop:
         log = safe_exec.run(engine, plant=plant)
         assert log.converged
 
+    @pytest.mark.parametrize("tau_plant, dt", [
+        (math.nan, 0.005), (math.inf, 0.005), (0.05, math.nan), (0.05, math.inf),
+        (0.0, 0.005), (0.05, -0.005),
+    ])
+    def test_first_order_lag_plant_rejects_bad_constants(self, tau_plant, dt):
+        with pytest.raises(InvalidInputError):
+            safe_exec.FirstOrderLagPlant(tau_plant, dt)
+
     def test_infeasible_flagged_not_raised(self, straight_line_model):
         # overlapping chain of clearance spheres straddling the path
         obstacles = [
