@@ -1,0 +1,63 @@
+"""Byte identity of every canned ``safedmp run`` output.
+
+For each scenario under ``scenarios/`` and each method, ``safedmp learn``
+fits a model to the scenario's demonstration (default options) and
+``safedmp run`` executes it; the sha256 of each ``_log.csv`` and
+``_metrics.json`` must equal the one stored in ``tests/data/run_digests.json``.
+
+Regenerate the stored digests (only for a deliberate behaviour change, to be
+recorded in CHANGES.md) with::
+
+    PYTHONPATH=src python tests/test_run_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+from safedmp import bench, cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "data" / "run_digests.json"
+
+
+def run_digests(workdir: pathlib.Path) -> dict[str, str]:
+    """sha256 of the files ``safedmp run`` writes for every canned cell."""
+    models = {}
+    digests = {}
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for path in sorted((ROOT / "scenarios").glob("*.json")):
+            source = bench.load_scenario(path).demo_source
+            if source not in models:
+                models[source] = workdir / f"model_{len(models)}.json"
+                code = cli.main(["learn", "--demo", source,
+                                 "--out", str(models[source])])
+                assert code == 0, f"safedmp learn {source} exited {code}"
+            for method in bench.METHODS:
+                prefix = workdir / f"{path.stem}_{method}"
+                cli.main(["run", "--model", str(models[source]),
+                          "--scenario", str(path), "--method", method,
+                          "--out", str(prefix)])
+                for suffix in ("_log.csv", "_metrics.json"):
+                    out = prefix.with_name(prefix.name + suffix)
+                    digests[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_run_outputs_match_stored_digests(tmp_path):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert len(expected) == 40
+    assert run_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_digests(pathlib.Path(tmp))
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    print(f"{len(digests)} digests written to {DIGESTS}", file=sys.stderr)
