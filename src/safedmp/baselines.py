@@ -126,6 +126,7 @@ class ApfEngine:
         self.state = dmp.initial_state(model)
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
+        self._k = 0  # control steps taken: the index into the forcing table
         self._max_force = (
             self.params.max_force
             if self.params.max_force is not None
@@ -137,13 +138,15 @@ class ApfEngine:
         return self.model.x0.copy()
 
     def goal_distance(self) -> float:
-        return float(np.linalg.norm(self.state.x - self.model.g))
+        diff = self.state.x - self.model.g
+        return math.sqrt(diff.dot(diff))
 
     def control(self, x_measured: np.ndarray, t: float) -> np.ndarray:
         model = self.model
         state = self.state
         state.x = np.asarray(x_measured, dtype=float)
-        f_ext = dmp.forcing(model, state.z)
+        f_ext = dmp.forcing_at(model, self.dt, self._k, state.z)
+        self._k += 1
         f_apf = apf_force(
             state.x, self.obstacles, t, self.params,
             delta_gamma=self.delta_gamma, max_force=self._max_force,
@@ -160,6 +163,7 @@ class ApfEngine:
         The method has no projection, so the logged safe position is the
         command itself.
         """
+        x_measured = np.asarray(x_measured, dtype=float)
         start = time.perf_counter()
         x_next = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
@@ -168,14 +172,15 @@ class ApfEngine:
             x_nominal = points[min(len(self.rows), points.shape[0] - 1)]
         else:
             x_nominal = x_measured
+        x_next_row = x_next.tolist()
         self.rows.append((
-            t, *x_nominal, *x_next, *x_next, *x_measured, self.state.tau,
-            self.state.z, self._min_surface_clearance(x_measured, t),
+            t, *x_nominal.tolist(), *x_next_row, *x_next_row, *x_measured.tolist(),
+            self.state.tau, self.state.z, self._min_surface_clearance(x_measured, t),
         ))
         return x_next
 
     def _min_surface_clearance(self, x: np.ndarray, t: float) -> float:
-        best = float("inf")
+        best = math.inf
         for obs in self.obstacles:
             if obs.active(t):
                 best = min(best, obs.surface_distance(x, t))

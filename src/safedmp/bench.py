@@ -290,25 +290,36 @@ class PreparedScenario:
     nominal_converged: bool
 
 
-def prepare(scenario: Scenario) -> PreparedScenario:
-    """Load and preprocess the demonstration, learn the model, then :func:`plan`."""
-    demo_raw = trajectory.load_demo(scenario.demo_source)
-    if demo_raw.n < scenario.dmp_n_basis:
-        raise InvalidInputError(
-            f"demonstration has {demo_raw.n} samples; "
-            f"need at least n_basis={scenario.dmp_n_basis}"
+def prepare(scenario: Scenario, learned: dict | None = None) -> PreparedScenario:
+    """Load and preprocess the demonstration, learn the model, then :func:`plan`.
+
+    ``learned`` memoizes ``(demo, model)`` by the fields learning reads
+    (demo source, preprocessing, basis count and alpha), so scenarios that
+    share a demonstration learn it once and share its forcing tables.
+    """
+    learned = {} if learned is None else learned
+    key = (scenario.demo_source, scenario.preprocess,
+           scenario.dmp_n_basis, scenario.dmp_alpha)
+    if key not in learned:
+        demo_raw = trajectory.load_demo(scenario.demo_source)
+        if demo_raw.n < scenario.dmp_n_basis:
+            raise InvalidInputError(
+                f"demonstration has {demo_raw.n} samples; "
+                f"need at least n_basis={scenario.dmp_n_basis}"
+            )
+        pre = scenario.preprocess
+        demo = trajectory.preprocess(
+            demo_raw,
+            resample_n=pre.resample_n,
+            cutoff_hz=pre.cutoff_hz,
+            z_height=pre.z_height,
+            rotation=pre.rotation_matrix(),
         )
-    pre = scenario.preprocess
-    demo = trajectory.preprocess(
-        demo_raw,
-        resample_n=pre.resample_n,
-        cutoff_hz=pre.cutoff_hz,
-        z_height=pre.z_height,
-        rotation=pre.rotation_matrix(),
-    )
-    model = dmp.learn_from_trajectory(
-        demo, n_basis=scenario.dmp_n_basis, alpha=scenario.dmp_alpha
-    )
+        model = dmp.learn_from_trajectory(
+            demo, n_basis=scenario.dmp_n_basis, alpha=scenario.dmp_alpha
+        )
+        learned[key] = (demo, model)
+    demo, model = learned[key]
     return plan(scenario, model, demo)
 
 
@@ -572,13 +583,18 @@ def compare(
     methods=METHODS,
     with_timing: bool = False,
 ) -> list[ReportRow]:
-    """Run every (method, scenario) pair; per-cell failures become rows."""
+    """Run every (method, scenario) pair; per-cell failures become rows.
+
+    Each demonstration is learned once (see :func:`prepare`) and each
+    scenario planned once.
+    """
+    learned: dict = {}
     prepared_cache: dict[str, PreparedScenario] = {}
 
     def cell(scenario, method):
         try:
             if scenario.name not in prepared_cache:
-                prepared_cache[scenario.name] = prepare(scenario)
+                prepared_cache[scenario.name] = prepare(scenario, learned)
             prepared = prepared_cache[scenario.name]
             log = run_scenario(prepared, method)
             metrics = evaluate(prepared, log, method, with_timing)

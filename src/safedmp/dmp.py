@@ -125,6 +125,17 @@ class DmpModel:
         reads it on every step."""
         return self.g - self.x0
 
+    @cached_property
+    def forcing_tables(self) -> dict:
+        """Phase-grid forcing tables of :func:`forcing_at`, keyed by ``dt``.
+
+        Each value is ``(phases, forces)``: the grid phases ``z_k`` and the
+        forcing values ``f_k = forcing(model, z_k)`` computed so far, with
+        one phase more than forces (the next grid phase).  A model made by
+        ``dataclasses.replace`` (e.g. :func:`retarget`) starts empty.
+        """
+        return {}
+
 
 @dataclass
 class DmpState:
@@ -161,6 +172,39 @@ def forcing(model: DmpModel, z: float) -> np.ndarray:
     if total < 1e-300:
         raise DegeneratePhaseError(f"basis does not cover phase z={z}")
     return model.amplitude * (z * (model.weights @ psi) / total)
+
+
+def forcing_at(model: DmpModel, dt: float, k: int, z: float) -> np.ndarray:
+    """``forcing(model, z)`` for step k of a run with time step ``dt``.
+
+    Every run at the constant nominal time scale steps through the same
+    phase grid ``z_0 = 1``, ``z_{k+1} = phase_step(z_k, tau_nominal, dt,
+    alpha_z)``, so ``f_k = forcing(model, z_k)`` is computed once per model
+    and ``dt`` and stored read-only in ``model.forcing_tables[dt]``.  The
+    stored value is returned only when ``z == z_k`` exactly (the same
+    function of the same input); any other phase is computed and not
+    stored.  The table grows one grid step at a time, so it is never longer
+    than the longest run on ``dt``.
+    """
+    table = model.forcing_tables.get(dt)
+    if table is None:
+        table = model.forcing_tables[dt] = ([1.0], [])
+    phases, forces = table
+    n = len(forces)
+    if k < n:
+        if z == phases[k]:
+            return forces[k]
+    elif k == n and z == phases[k]:
+        f = forcing(model, z)
+        f.flags.writeable = False
+        try:
+            z_next = phase_step(z, model.tau_nominal, dt, model.alpha_z)
+        except PhaseStepError:
+            z_next = math.nan  # no run at the nominal time scale gets past z
+        forces.append(f)
+        phases.append(z_next)
+        return f
+    return forcing(model, z)
 
 
 def target_forcing(
@@ -256,8 +300,10 @@ def phase_step(z: float, tau: float, dt: float, alpha_z: float) -> float:
     """One explicit Euler step of the phase decay: ``z' = z (1 - alpha_z dt / tau)``."""
     if not 0.0 < z <= 1.0:
         raise InvalidInputError(f"phase must lie in (0, 1], got {z}")
-    if dt < 0:
-        raise InvalidInputError("dt must be non-negative")
+    if not 0.0 < tau < math.inf:
+        raise InvalidInputError("tau must be positive and finite")
+    if not 0.0 <= dt < math.inf:
+        raise InvalidInputError("dt must be non-negative and finite")
     if dt == 0.0:
         return z
     ratio = alpha_z * dt / tau
@@ -280,11 +326,30 @@ def transformation_accel(
 
 def integrate_step(state: DmpState, accel: np.ndarray, dt: float) -> DmpState:
     """Advance position with its second-order Taylor term, then velocity."""
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise InvalidInputError("dt must be positive and finite")
     state.x = state.x + state.v * dt + 0.5 * accel * dt**2
     state.v = state.v + accel * dt
     return state
+
+
+def attractor_step(x, v, f, g, tau: float, dt: float, alpha: float, beta: float):
+    """:func:`transformation_accel` plus :func:`integrate_step` on plain floats.
+
+    Per dimension, ``a = (alpha (beta (g - x) - tau v) + f) / tau^2``,
+    ``x' = x + v dt + (a/2) dt^2`` and ``v' = v + a dt``, with the array
+    routines' expressions term by term, so both give the same bits.  Returns
+    the lists ``(x', v')``.
+    """
+    tau2 = tau**2
+    dt2 = dt**2
+    x_next = []
+    v_next = []
+    for x_i, v_i, f_i, g_i in zip(x, v, f, g):
+        a_i = (alpha * (beta * (g_i - x_i) - tau * v_i) + f_i) / tau2
+        x_next.append(x_i + v_i * dt + (0.5 * a_i) * dt2)
+        v_next.append(v_i + a_i * dt)
+    return x_next, v_next
 
 
 @dataclass(frozen=True)
@@ -305,27 +370,39 @@ def rollout(
 
     Stops once ``||x - g|| < goal_tol`` (unless ``stop_at_goal`` is False)
     or when the horizon elapses, in which case the result is flagged
-    non-converged rather than raising.
+    non-converged rather than raising.  The state is plain floats, stepped
+    by :func:`attractor_step`, with the forcing of its own phase from
+    :func:`forcing_at`.
     """
     if not 0.0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if horizon is None:
         horizon = DEFAULT_HORIZON_FACTOR * model.tau_nominal
+    if not 0.0 < horizon < math.inf:
+        raise InvalidInputError("horizon must be positive and finite")
     max_steps = max(1, int(round(horizon / dt)))
-    state = initial_state(model)
-    positions = [state.x.copy()]
+    alpha, beta, alpha_z = model.alpha, model.beta, model.alpha_z
+    tau = model.tau_nominal
+    g = model.g
+    g_list = g.tolist()
+    x = model.x0.tolist()
+    v = [0.0] * model.d
+    z = 1.0
+    positions = [x]
     converged = False
-    for _ in range(max_steps):
-        if stop_at_goal and np.linalg.norm(state.x - model.g) < goal_tol:
-            converged = True
-            break
-        f = forcing(model, state.z)
-        accel = transformation_accel(model, state, f)
-        state.z = phase_step(state.z, state.tau, dt, model.alpha_z)
-        integrate_step(state, accel, dt)
-        positions.append(state.x.copy())
+    for k in range(max_steps):
+        if stop_at_goal:
+            diff = np.subtract(x, g)
+            if math.sqrt(diff.dot(diff)) < goal_tol:
+                converged = True
+                break
+        f = forcing_at(model, dt, k, z).tolist()
+        x, v = attractor_step(x, v, f, g_list, tau, dt, alpha, beta)
+        z = phase_step(z, tau, dt, alpha_z)
+        positions.append(x)
     if not converged:
-        converged = bool(np.linalg.norm(state.x - model.g) < goal_tol)
+        diff = np.subtract(x, g)
+        converged = bool(math.sqrt(diff.dot(diff)) < goal_tol)
     times = np.arange(len(positions)) * dt
     return RolloutResult(
         trajectory=TimedTrajectory(times, np.asarray(positions)),

@@ -90,7 +90,8 @@ class Obstacle:
         return self.center0 + self.velocity * t
 
     def surface_distance(self, x: np.ndarray, t: float) -> float:
-        return float(np.linalg.norm(x - self.position(t)) - self.radius)
+        diff = x - self.position(t)
+        return math.sqrt(diff.dot(diff)) - self.radius
 
 
 @dataclass(frozen=True)
@@ -357,9 +358,10 @@ class SafeDmpEngine:
 
     Obstacles are read once into a single table of plain floats
     (:func:`obstacle_table`); the control step works on plain float lists
-    and applies the attractor with the same expressions as the nominal
-    integrator, so an obstacle-free run reproduces the nominal rollout bit
-    for bit.
+    and advances the primitive with the nominal integrator's own step, so
+    an obstacle-free run reproduces the nominal rollout bit for bit.  Until
+    the time scale first leaves ``tau_nominal`` the phase is on the nominal
+    grid and the forcing comes from the model's table (:func:`dmp.forcing_at`).
     """
 
     method = "safedmp"
@@ -386,6 +388,7 @@ class SafeDmpEngine:
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
         self._table = obstacle_table(self.obstacles, self.safety.delta_gamma)
+        self._k = 0  # control steps taken: the index into the forcing table
 
         # working copies of the state as plain floats (hot-loop friendly);
         # the DmpState arrays are kept in sync on the logging side
@@ -418,30 +421,23 @@ class SafeDmpEngine:
         Returns ``(x_desired, x_nominal, x_target, x_safe, u)`` where
         ``x_nominal`` is the internal primitive position at the time of the
         measurement.  Per-dimension arithmetic runs on plain floats (the
-        vectors are tiny and call overhead would dominate); the expressions
-        mirror the nominal integrator's term by term, so the results are
-        bit-identical to a pure rollout when the tube term is zero.
+        vectors are tiny and call overhead would dominate); the primitive
+        advances by the nominal integrator's own :func:`dmp.attractor_step`
+        and :func:`dmp.forcing_at`, so the results are bit-identical to a
+        pure rollout when the tube term is zero.
         """
         model = self.model
         state = self.state
         dt = self.dt
-        d = model.d
 
-        # primitive prediction (same expressions as the nominal integrator)
-        f = dmp.forcing(model, state.z).tolist()
-        tau = state.tau
-        tau2 = tau**2
+        # primitive prediction (the nominal integrator's step)
+        f = dmp.forcing_at(model, dt, self._k, state.z).tolist()
+        self._k += 1
         alpha, beta, alpha_z = self._gains
-        dt2 = dt**2
-        g = self._g
         x = self._x
-        v = self._v
-        accel = [0.0] * d
-        x_target = [0.0] * d
-        for i in range(d):
-            a_i = (alpha * (beta * (g[i] - x[i]) - tau * v[i]) + f[i]) / tau2
-            accel[i] = a_i
-            x_target[i] = x[i] + v[i] * dt + (0.5 * a_i) * dt2
+        x_target, v_next = dmp.attractor_step(
+            x, self._v, f, self._g, state.tau, dt, alpha, beta
+        )
 
         # project the target out of every clearance sphere
         table = self._table
@@ -466,7 +462,7 @@ class SafeDmpEngine:
         )
         state.z = dmp.phase_step(state.z, state.tau, dt, alpha_z)
         self._x = x_target
-        self._v = [v[i] + accel[i] * dt for i in range(d)]
+        self._v = v_next
         self._x_safe_prev = x_safe
         return x_desired, x, x_target, x_safe, u
 
@@ -541,12 +537,11 @@ def run(
         x_measured = plant.track(x_desired)
         if k + 1 in offsets:
             x_measured = x_measured + offsets[k + 1]
-        if (
-            engine.goal_distance() <= goal_tol
-            and np.linalg.norm(x_measured - model.g) <= goal_tol
-        ):
-            converged = True
-            break
+        if engine.goal_distance() <= goal_tol:
+            diff = x_measured - model.g
+            if math.sqrt(diff.dot(diff)) <= goal_tol:
+                converged = True
+                break
 
     seconds = engine.step_seconds
     return ExecutionLog(

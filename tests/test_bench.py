@@ -1,5 +1,6 @@
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,56 @@ class TestUnperturbedTwin:
         assert not np.array_equal(path.points, prepared.nominal.points[:-1])
 
 
+def table_variant(canned_prepared, name):
+    """A canned scenario, or a lag-plant or perturbed variant of one."""
+    if name == "lag":
+        prepared = canned_prepared["perturb_two_sshape"]
+        scenario = prepared.scenario
+        scenario = replace(
+            scenario, execution=replace(scenario.execution, plant="first-order-lag")
+        )
+    elif name == "perturbed":
+        prepared = canned_prepared["moving_cross_sshape"]
+        scenario = replace(
+            prepared.scenario,
+            perturbations=bench.standard_perturbations(prepared.nominal.duration),
+        )
+    else:
+        return canned_prepared[name]
+    return bench.plan(scenario, prepared.model, prepared.demo)
+
+
+class TestForcingTableInRuns:
+    """Runs read the rollout's forcing table without changing a bit."""
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    @pytest.mark.parametrize(
+        "name", [p.stem for p in SCENARIO_PATHS] + ["lag", "perturbed"]
+    )
+    def test_cold_model_rows_equal_warm(self, name, method, canned_prepared):
+        warm = table_variant(canned_prepared, name)
+        assert warm.model.forcing_tables[warm.scenario.dt][1]  # filled by the rollout
+        cold = replace(
+            warm, model=dmp.model_from_dict(dmp.model_to_dict(warm.model))
+        )
+        assert cold.model.forcing_tables == {}
+        assert np.array_equal(
+            bench.run_scenario(cold, method).rows,
+            bench.run_scenario(warm, method).rows,
+        )
+
+    def test_warm_free_run_computes_no_forcing(self, canned_prepared, monkeypatch):
+        prepared = canned_prepared["free_sshape"]
+        calls = []
+        forcing = dmp.forcing
+        monkeypatch.setattr(
+            dmp, "forcing", lambda model, z: calls.append(z) or forcing(model, z)
+        )
+        for method in bench.METHODS:
+            assert bench.run_scenario(prepared, method).converged
+        assert calls == []
+
+
 class TestPlan:
     def test_perturbation_beyond_horizon_rejected(self, sshape_model):
         scenario = bench.Scenario(perturbations=(
@@ -338,6 +389,25 @@ class TestEvaluateAndCompare:
         for row in rows_a:
             assert row.error is None
             assert row.metrics.collision_count == 0
+
+    def test_compare_learns_each_demo_once(self, monkeypatch):
+        counts = {"preprocess": 0, "learn": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tj, "preprocess", counted("preprocess", tj.preprocess))
+        monkeypatch.setattr(
+            dmp, "learn_from_trajectory", counted("learn", dmp.learn_from_trajectory)
+        )
+        scenarios = [bench.load_scenario(p) for p in SCENARIO_PATHS]
+        assert len({s.demo_source for s in scenarios}) == 3
+        rows = bench.compare(scenarios)
+        assert len(rows) == 20 and all(r.error is None for r in rows)
+        assert counts == {"preprocess": 3, "learn": 3}
 
     def test_compare_records_cell_failures(self):
         bad = bench.Scenario(name="broken", demo_source="builtin:doesnotexist")

@@ -207,6 +207,19 @@ class TestPhaseStep:
         with pytest.raises(PhaseStepError):
             dmp.phase_step(1.0, 1.0, 0.5, 4.0)
 
+    def test_rejects_nan_dt(self):
+        with pytest.raises(InvalidInputError):
+            dmp.phase_step(0.5, 1.0, math.nan, 4.0)
+
+    def test_rejects_nan_tau(self):
+        with pytest.raises(InvalidInputError):
+            dmp.phase_step(0.5, math.nan, 0.005, 4.0)
+
+    def test_rejects_negative_tau(self):
+        # a negative time scale would make the phase grow (0.5 -> 0.51)
+        with pytest.raises(InvalidInputError):
+            dmp.phase_step(0.5, -1.0, 0.005, 4.0)
+
 
 class TestTransformationAccel:
     def test_fixed_point(self):
@@ -256,6 +269,29 @@ class TestIntegrateStep:
             dmp.integrate_step(state, a, dt)
         assert state.x[0] == pytest.approx(0.5 * 2.0 * (100 * dt) ** 2, rel=1e-12)
 
+    def test_rejects_nan_dt(self):
+        state = dmp.DmpState(
+            x=np.zeros(1), v=np.zeros(1), z=1.0, e_couple=np.zeros(1), tau=1.0
+        )
+        with pytest.raises(InvalidInputError):
+            dmp.integrate_step(state, np.zeros(1), math.nan)
+
+    def test_float_step_matches_array_routines(self):
+        m = random_model(seed=4, d=3)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            x, v, f = rng.normal(size=(3, 3))
+            tau = 1.0 + rng.random()
+            state = dmp.DmpState(x=x, v=v, z=0.5, e_couple=np.zeros(3), tau=tau)
+            accel = dmp.transformation_accel(m, state, f)
+            dmp.integrate_step(state, accel, 0.005)
+            x_next, v_next = dmp.attractor_step(
+                x.tolist(), v.tolist(), f.tolist(), m.g.tolist(),
+                tau, 0.005, m.alpha, m.beta,
+            )
+            assert x_next == state.x.tolist()
+            assert v_next == state.v.tolist()
+
     def test_against_fine_reference(self):
         m = random_model(seed=9)
         coarse = dmp.rollout(m, 5e-3, horizon=m.tau_nominal, stop_at_goal=False)
@@ -296,6 +332,80 @@ class TestRollout:
         m = zero_weight_model(d=1, tau=10.0)
         res = dmp.rollout(m, 0.005, horizon=0.2)
         assert not res.converged
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(InvalidInputError):
+            dmp.rollout(zero_weight_model(d=1), 0.005, horizon=horizon)
+
+
+class TestForcingTable:
+    """The phase-grid forcing table behind :func:`dmp.forcing_at`."""
+
+    def test_entries_are_forcing_on_the_grid(self):
+        m = random_model(seed=5, d=3)
+        dmp.rollout(m, 0.005, horizon=0.5, stop_at_goal=False)
+        phases, forces = m.forcing_tables[0.005]
+        assert len(phases) == len(forces) + 1
+        z = 1.0
+        for k, f in enumerate(forces):
+            assert phases[k] == z
+            assert np.array_equal(f, dmp.forcing(m, z))
+            z = dmp.phase_step(z, m.tau_nominal, 0.005, m.alpha_z)
+        assert phases[-1] == z
+
+    def test_stored_entries_read_only(self):
+        m = random_model(seed=5, d=3)
+        dmp.rollout(m, 0.005, horizon=0.5, stop_at_goal=False)
+        _, forces = m.forcing_tables[0.005]
+        assert forces and not any(f.flags.writeable for f in forces)
+        with pytest.raises(ValueError):
+            forces[0][0] = 1.0
+
+    @pytest.mark.parametrize("horizon", [0.05, 0.5, 20.0])
+    def test_length_bounded_by_step_cap(self, horizon):
+        m = random_model(seed=5, d=3, tau=1.0)
+        cap = max(1, round(horizon / 0.005))
+        dmp.rollout(m, 0.005, horizon=horizon, stop_at_goal=False)
+        dmp.rollout(m, 0.005, horizon=horizon)
+        phases, forces = m.forcing_tables[0.005]
+        assert len(forces) <= cap and len(phases) <= cap + 1
+        engine = safe_exec.SafeDmpEngine(m, dt=0.005)
+        safe_exec.run(engine, max_steps=cap)
+        assert len(m.forcing_tables[0.005][0]) <= cap + 1
+
+    def test_each_dt_has_its_own_grid(self):
+        m = random_model(seed=5, d=3)
+        for dt in (0.005, 0.002):
+            dmp.rollout(m, dt, horizon=0.2, stop_at_goal=False)
+        assert sorted(m.forcing_tables) == [0.002, 0.005]
+        for dt, steps in ((0.005, 40), (0.002, 100)):
+            phases, forces = m.forcing_tables[dt]
+            assert len(forces) == steps
+            assert phases[1] == dmp.phase_step(1.0, m.tau_nominal, dt, m.alpha_z)
+
+    def test_off_grid_phase_is_computed(self):
+        m = random_model(seed=5, d=3)
+        dmp.rollout(m, 0.005, horizon=0.5, stop_at_goal=False)
+        phases, forces = m.forcing_tables[0.005]
+        n = len(forces)
+        for z in (np.nextafter(phases[5], 0.0), np.nextafter(phases[5], 1.0)):
+            f = dmp.forcing_at(m, 0.005, 5, z)
+            assert f is not forces[5]
+            assert np.array_equal(f, dmp.forcing(m, z))
+        # an off-grid phase at the table's end is not stored either
+        off = np.nextafter(phases[n], 0.0)
+        assert np.array_equal(dmp.forcing_at(m, 0.005, n, off), dmp.forcing(m, off))
+        assert len(forces) == n
+
+    def test_retarget_starts_a_fresh_table(self):
+        m = random_model(seed=5, d=3)
+        dmp.rollout(m, 0.005, horizon=0.5, stop_at_goal=False)
+        moved = dmp.retarget(m, m.x0 + 0.1, 2.0 * m.g)
+        assert moved.forcing_tables == {}
+        f0 = dmp.forcing_at(moved, 0.005, 0, 1.0)
+        assert np.array_equal(f0, dmp.forcing(moved, 1.0))
+        assert not np.array_equal(f0, m.forcing_tables[0.005][1][0])
 
 
 class TestAdaptTiming:
