@@ -120,6 +120,10 @@ class ApfEngine:
         self.model = model
         self.params = params if params is not None else ApfParams()
         self.obstacles = tuple(obstacles)
+        if any(obs.d != model.d for obs in self.obstacles):
+            raise InvalidInputError(
+                f"obstacle dimension must match the model's d={model.d}"
+            )
         self.dt = dt
         self.goal_tol = goal_tol
         self.delta_gamma = delta_gamma

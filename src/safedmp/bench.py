@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, dmp, safe_exec, trajectory
+from . import baselines, codec, dmp, safe_exec, trajectory
 from .errors import InvalidInputError, UndefinedMetricError
 
 SCHEMA_VERSION = 1
@@ -50,15 +50,43 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class PreprocessOptions:
+    """:func:`trajectory.preprocess` options; ``rotation`` is row-major 3x3."""
+
     resample_n: int = trajectory.DEFAULT_RESAMPLE_N
     cutoff_hz: float = trajectory.DEFAULT_CUTOFF_HZ
     z_height: float = trajectory.DEFAULT_Z_HEIGHT
-    rotation: tuple | None = None
+    rotation: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.resample_n < 2:
+            raise InvalidInputError("resample_n must be at least 2")
+        if not 0.0 < self.cutoff_hz < math.inf:
+            raise InvalidInputError("cutoff_hz must be positive and finite")
+        if not math.isfinite(self.z_height):
+            raise InvalidInputError("z_height must be finite")
+        if self.rotation is not None and (
+            len(self.rotation) != 9 or not all(map(math.isfinite, self.rotation))
+        ):
+            raise InvalidInputError("rotation must be null or 9 finite numbers")
 
     def rotation_matrix(self) -> np.ndarray | None:
         if self.rotation is None:
             return None
         return np.asarray(self.rotation, dtype=float).reshape(3, 3)
+
+
+@dataclass(frozen=True)
+class DmpOptions:
+    """Learning options: the attractor gain and the number of basis functions."""
+
+    alpha: float = dmp.DEFAULT_ALPHA
+    n_basis: int = dmp.DEFAULT_N_BASIS
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < math.inf:
+            raise InvalidInputError("alpha must be positive and finite")
+        if self.n_basis < 2:
+            raise InvalidInputError("n_basis must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -84,11 +112,10 @@ class Scenario:
     demo_source: str = "builtin:sshape"
     method: str = "safedmp"
     dt: float = safe_exec.DEFAULT_DT
-    obstacles: tuple = ()
-    perturbations: tuple = ()
+    obstacles: tuple[safe_exec.Obstacle, ...] = ()
+    perturbations: tuple[Perturbation, ...] = ()
     preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
-    dmp_alpha: float = dmp.DEFAULT_ALPHA
-    dmp_n_basis: int = dmp.DEFAULT_N_BASIS
+    dmp: DmpOptions = field(default_factory=DmpOptions)
     safety: safe_exec.SafetyParams = field(default_factory=safe_exec.SafetyParams)
     apf: baselines.ApfParams = field(default_factory=baselines.ApfParams)
     execution: ExecutionOptions = field(default_factory=ExecutionOptions)
@@ -298,14 +325,14 @@ def prepare(scenario: Scenario, learned: dict | None = None) -> PreparedScenario
     share a demonstration learn it once and share its forcing tables.
     """
     learned = {} if learned is None else learned
-    key = (scenario.demo_source, scenario.preprocess,
-           scenario.dmp_n_basis, scenario.dmp_alpha)
+    options = scenario.dmp
+    key = (scenario.demo_source, scenario.preprocess, options)
     if key not in learned:
         demo_raw = trajectory.load_demo(scenario.demo_source)
-        if demo_raw.n < scenario.dmp_n_basis:
+        if demo_raw.n < options.n_basis:
             raise InvalidInputError(
                 f"demonstration has {demo_raw.n} samples; "
-                f"need at least n_basis={scenario.dmp_n_basis}"
+                f"need at least n_basis={options.n_basis}"
             )
         pre = scenario.preprocess
         demo = trajectory.preprocess(
@@ -316,7 +343,7 @@ def prepare(scenario: Scenario, learned: dict | None = None) -> PreparedScenario
             rotation=pre.rotation_matrix(),
         )
         model = dmp.learn_from_trajectory(
-            demo, n_basis=scenario.dmp_n_basis, alpha=scenario.dmp_alpha
+            demo, n_basis=options.n_basis, alpha=options.alpha
         )
         learned[key] = (demo, model)
     demo, model = learned[key]
@@ -606,27 +633,7 @@ def compare(
 
 
 def report_to_dict(rows) -> dict:
-    out_rows = []
-    for row in rows:
-        entry = {"scenario": row.scenario, "method": row.method, "error": row.error}
-        if row.metrics is None:
-            entry["metrics"] = None
-        else:
-            m = row.metrics
-            entry["metrics"] = {
-                "exec_time_mean_s": m.exec_time_mean_s,
-                "exec_time_p99_s": m.exec_time_p99_s,
-                "mae_nominal_m": m.mae_nominal_m,
-                "mae_perturbed_m": m.mae_perturbed_m,
-                "conv_time_perturb_s": m.conv_time_perturb_s,
-                "conv_time_oa_s": m.conv_time_oa_s,
-                "collision_count": m.collision_count,
-                "min_clearance_m": m.min_clearance_m,
-                "oscillation_flag": m.oscillation_flag,
-                "converged": m.converged,
-            }
-        out_rows.append(entry)
-    return {"schema_version": SCHEMA_VERSION, "rows": out_rows}
+    return {"schema_version": SCHEMA_VERSION, "rows": [codec.to_doc(r) for r in rows]}
 
 
 def report_to_json(rows) -> str:
@@ -675,152 +682,23 @@ def report_to_text(rows) -> str:
 
 # --- scenario (de)serialization --------------------------------------------------
 
-def _require_keys(data: dict, allowed: set, context: str):
-    unknown = data.keys() - allowed
-    if unknown:
-        raise InvalidInputError(f"{context}: unknown fields {sorted(unknown)}")
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
-    def obstacle_dict(o):
-        out = {"center": [float(v) for v in o.center0], "radius": o.radius}
-        if np.any(o.velocity != 0.0):
-            out["velocity"] = [float(v) for v in o.velocity]
-        if o.active_window is not None:
-            out["active_window"] = list(o.active_window)
-        return out
-
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "name": scenario.name,
-        "demo_source": scenario.demo_source,
-        "method": scenario.method,
-        "dt": scenario.dt,
-        "obstacles": [obstacle_dict(o) for o in scenario.obstacles],
-        "perturbations": [
-            {"t_apply": p.t_apply, "offset": [float(v) for v in p.offset]}
-            for p in scenario.perturbations
-        ],
-        "preprocess": {
-            "resample_n": scenario.preprocess.resample_n,
-            "cutoff_hz": scenario.preprocess.cutoff_hz,
-            "z_height": scenario.preprocess.z_height,
-            "rotation": (
-                None if scenario.preprocess.rotation is None
-                else list(scenario.preprocess.rotation)
-            ),
-        },
-        "dmp": {"alpha": scenario.dmp_alpha, "n_basis": scenario.dmp_n_basis},
-        "safety": {
-            "delta_gamma": scenario.safety.delta_gamma,
-            "gain": scenario.safety.gain,
-            "clip_limit": scenario.safety.clip_limit,
-        },
-        "apf": {
-            "eta": scenario.apf.eta,
-            "d0": scenario.apf.d0,
-            "max_force": scenario.apf.max_force,
-        },
-        "execution": {
-            "goal_tol": scenario.execution.goal_tol,
-            "max_horizon_factor": scenario.execution.max_horizon_factor,
-            "plant": scenario.execution.plant,
-            "plant_tau": scenario.execution.plant_tau,
-        },
-    }
-    return data
+    return {"schema_version": SCHEMA_VERSION, **codec.to_doc(scenario)}
 
 
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
-    top = {
-        "schema_version", "name", "demo_source", "method", "dt", "obstacles", "perturbations", "preprocess", "dmp", "safety", "apf",
-        "execution",
-    }
-    _require_keys(data, top, "scenario")
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise InvalidInputError(f"unsupported scenario schema_version {version}")
-
-    obstacles = []
-    for i, o in enumerate(data.get("obstacles", [])):
-        _require_keys(o, {"center", "radius", "velocity", "active_window"},
-                      f"obstacles[{i}]")
-        obstacles.append(safe_exec.Obstacle(
-            center0=np.asarray(o["center"], dtype=float),
-            radius=float(o["radius"]),
-            velocity=(
-                np.asarray(o["velocity"], dtype=float)
-                if "velocity" in o and o["velocity"] is not None else None
-            ),
-            active_window=(
-                tuple(o["active_window"])
-                if o.get("active_window") is not None else None
-            ),
-        ))
-    perturbations = []
-    for i, p in enumerate(data.get("perturbations", [])):
-        _require_keys(p, {"t_apply", "offset"}, f"perturbations[{i}]")
-        perturbations.append(Perturbation(
-            t_apply=float(p["t_apply"]),
-            offset=np.asarray(p["offset"], dtype=float),
-        ))
-
-    pre = dict(data.get("preprocess", {}))
-    _require_keys(pre, {"resample_n", "cutoff_hz", "z_height", "rotation"},
-                  "preprocess")
-    pre_opts = PreprocessOptions(
-        resample_n=int(pre.get("resample_n", trajectory.DEFAULT_RESAMPLE_N)),
-        cutoff_hz=float(pre.get("cutoff_hz", trajectory.DEFAULT_CUTOFF_HZ)),
-        z_height=float(pre.get("z_height", trajectory.DEFAULT_Z_HEIGHT)),
-        rotation=(
-            tuple(float(v) for v in pre["rotation"])
-            if pre.get("rotation") is not None else None
-        ),
-    )
-
-    dmp_opts = dict(data.get("dmp", {}))
-    _require_keys(dmp_opts, {"alpha", "n_basis"}, "dmp")
-    safety_opts = dict(data.get("safety", {}))
-    _require_keys(safety_opts, {"delta_gamma", "gain", "clip_limit"}, "safety")
-    apf_opts = dict(data.get("apf", {}))
-    _require_keys(apf_opts, {"eta", "d0", "max_force"}, "apf")
-    exec_opts = dict(data.get("execution", {}))
-    _require_keys(exec_opts, {"goal_tol", "max_horizon_factor", "plant", "plant_tau"},
-                  "execution")
-
-    return Scenario(
-        name=data.get("name", name or "scenario"),
-        demo_source=data.get("demo_source", "builtin:sshape"),
-        method=data.get("method", "safedmp"),
-        dt=float(data.get("dt", safe_exec.DEFAULT_DT)),
-        obstacles=tuple(obstacles),
-        perturbations=tuple(perturbations),
-        preprocess=pre_opts,
-        dmp_alpha=float(dmp_opts.get("alpha", dmp.DEFAULT_ALPHA)),
-        dmp_n_basis=int(dmp_opts.get("n_basis", dmp.DEFAULT_N_BASIS)),
-        safety=safe_exec.SafetyParams(
-            delta_gamma=float(safety_opts.get("delta_gamma",
-                                              safe_exec.DEFAULT_DELTA_GAMMA)),
-            gain=float(safety_opts.get("gain", safe_exec.DEFAULT_STT_GAIN)),
-            clip_limit=float(safety_opts.get("clip_limit",
-                                             safe_exec.DEFAULT_CLIP_LIMIT)),
-        ),
-        apf=baselines.ApfParams(
-            eta=float(apf_opts.get("eta", baselines.DEFAULT_ETA)),
-            d0=(float(apf_opts["d0"]) if apf_opts.get("d0") is not None else None),
-            max_force=(
-                float(apf_opts["max_force"])
-                if apf_opts.get("max_force") is not None else None
-            ),
-        ),
-        execution=ExecutionOptions(
-            goal_tol=float(exec_opts.get("goal_tol", dmp.DEFAULT_GOAL_TOL)),
-            max_horizon_factor=float(exec_opts.get("max_horizon_factor",
-                                                   dmp.DEFAULT_HORIZON_FACTOR)),
-            plant=exec_opts.get("plant", "ideal"),
-            plant_tau=float(exec_opts.get("plant_tau", 0.05)),
-        ),
-    )
+    """The :class:`Scenario` tree of a document (see :mod:`.codec`) with an
+    optional ``schema_version``; ``name`` is used when the document has none."""
+    if isinstance(data, dict):
+        data = dict(data)
+        version = data.pop("schema_version", SCHEMA_VERSION)
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise InvalidInputError(
+                f"scenario.schema_version: unsupported version {version!r}"
+            )
+        if name is not None:
+            data.setdefault("name", name)
+    return codec.from_doc(Scenario, data, "scenario")
 
 
 def load_scenario(path) -> Scenario:

@@ -68,13 +68,6 @@ def read_log_csv(path) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
-def _metrics_json(report: bench.MetricsReport, method: str, scenario: str) -> str:
-    payload = bench.report_to_dict(
-        [bench.ReportRow(scenario=scenario, method=method, metrics=report)]
-    )
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_learn(args) -> int:
     demo_raw = trajectory.load_demo(args.demo)
     if demo_raw.n < args.n_basis:
@@ -132,10 +125,9 @@ def cmd_run(args) -> int:
     log_path = prefix.with_name(prefix.name + "_log.csv")
     metrics_path = prefix.with_name(prefix.name + "_metrics.json")
     write_log_csv(log, log_path)
-    metrics = bench.evaluate(prepared, log, with_timing=args.timing)
-    metrics_path.write_text(
-        _metrics_json(metrics, scenario.method, scenario.name), encoding="utf-8"
-    )
+    row = bench.ReportRow(scenario.name, scenario.method,
+                          bench.evaluate(prepared, log, with_timing=args.timing))
+    metrics_path.write_text(bench.report_to_json([row]), encoding="utf-8")
     print(f"log written to {log_path}")
     print(f"metrics written to {metrics_path}")
     if log.safety_infeasible:

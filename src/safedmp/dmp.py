@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import codec
 from .errors import (
     DegeneratePhaseError,
     InsufficientDataError,
@@ -84,14 +85,18 @@ class DmpModel:
         centers = np.asarray(self.centers, dtype=float).copy()
         widths = np.asarray(self.widths, dtype=float).copy()
         weights = np.asarray(self.weights, dtype=float).copy()
+        if self.d < 1 or self.n_basis < 1:
+            raise InvalidInputError("d and n_basis must be positive")
         if x0.shape != (self.d,) or g.shape != (self.d,):
             raise InvalidInputError("x0 and g must have shape (d,)")
         if centers.shape != (self.n_basis,) or widths.shape != (self.n_basis,):
             raise InvalidInputError("centers and widths must have shape (n_basis,)")
         if weights.shape != (self.d, self.n_basis):
             raise InvalidInputError("weights must have shape (d, n_basis)")
-        if self.alpha <= 0 or self.tau_nominal <= 0:
-            raise InvalidInputError("alpha and tau_nominal must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.tau_nominal < math.inf):
+            raise InvalidInputError("alpha and tau_nominal must be positive and finite")
+        if not all(np.all(np.isfinite(a)) for a in (x0, g, centers, widths, weights)):
+            raise InvalidInputError("x0, g, centers, widths and weights must be finite")
         if np.any(centers <= 0) or np.any(centers > 1) or np.any(np.diff(centers) >= 0):
             raise InvalidInputError("centers must be strictly decreasing in (0, 1]")
         if np.any(widths <= 0):
@@ -428,46 +433,18 @@ def retarget(model: DmpModel, new_x0, new_g) -> DmpModel:
 # --- serialization -------------------------------------------------------------
 
 def model_to_dict(model: DmpModel) -> dict:
-    return {
-        "d": model.d,
-        "n_basis": model.n_basis,
-        "alpha": model.alpha,
-        "tau_nominal": model.tau_nominal,
-        "x0": [float(v) for v in model.x0],
-        "g": [float(v) for v in model.g],
-        "centers": [float(v) for v in model.centers],
-        "widths": [float(v) for v in model.widths],
-        "weights": [float(v) for v in model.weights.ravel(order="C")],
-    }
+    """Every field of the model (see :mod:`.codec`), weights flattened row-major."""
+    doc = codec.to_doc(model)
+    doc["weights"] = model.weights.ravel().tolist()
+    return doc
 
 
 def model_from_dict(data: dict) -> DmpModel:
-    required = {"d", "n_basis", "alpha", "tau_nominal", "x0", "g",
-                "centers", "widths", "weights"}
-    missing = required - data.keys()
-    if missing:
-        raise InvalidInputError(f"model document missing fields: {sorted(missing)}")
-    unknown = data.keys() - required
-    if unknown:
-        raise InvalidInputError(f"model document has unknown fields: {sorted(unknown)}")
-    d = int(data["d"])
-    n_basis = int(data["n_basis"])
-    weights = np.asarray(data["weights"], dtype=float)
-    if weights.size != d * n_basis:
-        raise InvalidInputError(
-            f"weights must hold d*n_basis={d * n_basis} values, got {weights.size}"
-        )
-    return DmpModel(
-        d=d,
-        n_basis=n_basis,
-        alpha=float(data["alpha"]),
-        tau_nominal=float(data["tau_nominal"]),
-        x0=np.asarray(data["x0"], dtype=float),
-        g=np.asarray(data["g"], dtype=float),
-        centers=np.asarray(data["centers"], dtype=float),
-        widths=np.asarray(data["widths"], dtype=float),
-        weights=weights.reshape(d, n_basis),
-    )
+    kwargs = codec.read_fields(DmpModel, data, "model")
+    shape = (kwargs["d"], kwargs["n_basis"])
+    if min(shape) > 0 and kwargs["weights"].size == shape[0] * shape[1]:
+        kwargs["weights"] = kwargs["weights"].reshape(shape)
+    return codec.construct(DmpModel, kwargs, "model")
 
 
 def save_model(model: DmpModel, path) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,13 +40,19 @@ class Obstacle:
 
     The engine reads obstacles only once, into its obstacle table (see
     :func:`obstacle_table`); ``position`` and ``surface_distance`` serve the
-    potential-field baseline and callers that inspect a scenario.
+    potential-field baseline and callers that inspect a scenario.  In a
+    scenario document the center is ``center``, and a zero velocity and an
+    absent window are left out.
     """
 
-    center0: np.ndarray
+    center0: np.ndarray = field(metadata={"key": "center"})
     radius: float
-    velocity: np.ndarray | None = None
-    active_window: tuple[float, float] | None = None
+    velocity: np.ndarray | None = field(
+        default=None, metadata={"omit": lambda v: not np.any(v)}
+    )
+    active_window: tuple[float, float] | None = field(
+        default=None, metadata={"omit": lambda w: w is None}
+    )
 
     def __post_init__(self):
         center0 = np.asarray(self.center0, dtype=float).copy()
@@ -62,6 +68,8 @@ class Obstacle:
         if not 0.0 < self.radius < math.inf:
             raise InvalidInputError("obstacle radius must be positive and finite")
         if self.active_window is not None:
+            if len(self.active_window) != 2:
+                raise InvalidInputError("active_window must be [t_start, t_end]")
             t0, t1 = (float(v) for v in self.active_window)
             if not -math.inf < t0 < t1 < math.inf:
                 raise InvalidInputError(
@@ -379,19 +387,21 @@ class SafeDmpEngine:
         self.model = model
         self.safety = safety if safety is not None else SafetyParams()
         self.obstacles = tuple(obstacles)
-        for obs in self.obstacles:
-            if obs.d != model.d:
-                raise InvalidInputError("obstacle dimension must match the model")
+        if any(obs.d != model.d for obs in self.obstacles):
+            raise InvalidInputError(
+                f"obstacle dimension must match the model's d={model.d}"
+            )
         self.dt = dt
         self.goal_tol = goal_tol
-        self.state = dmp.initial_state(model)
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
         self._table = obstacle_table(self.obstacles, self.safety.delta_gamma)
         self._k = 0  # control steps taken: the index into the forcing table
 
-        # working copies of the state as plain floats (hot-loop friendly);
-        # the DmpState arrays are kept in sync on the logging side
+        # the primitive's state as plain floats (hot-loop friendly): phase,
+        # time scale, position, velocity and coupling error
+        self.z = 1.0
+        self.tau = model.tau_nominal
         self._x = [float(v) for v in model.x0]
         self._v = [0.0] * model.d
         self._ec = [0.0] * model.d
@@ -427,16 +437,15 @@ class SafeDmpEngine:
         pure rollout when the tube term is zero.
         """
         model = self.model
-        state = self.state
         dt = self.dt
 
         # primitive prediction (the nominal integrator's step)
-        f = dmp.forcing_at(model, dt, self._k, state.z).tolist()
+        f = dmp.forcing_at(model, dt, self._k, self.z).tolist()
         self._k += 1
         alpha, beta, alpha_z = self._gains
         x = self._x
         x_target, v_next = dmp.attractor_step(
-            x, self._v, f, self._g, state.tau, dt, alpha, beta
+            x, self._v, f, self._g, self.tau, dt, alpha, beta
         )
 
         # project the target out of every clearance sphere
@@ -457,10 +466,10 @@ class SafeDmpEngine:
             x_desired = project(table, x_desired, t, self._fallback)
 
         # coupling error, time dilation, phase decay, state integration
-        self._ec, state.tau = coupling_step(
+        self._ec, self.tau = coupling_step(
             self._ec, x_measured, x, dt, *self._coupling
         )
-        state.z = dmp.phase_step(state.z, state.tau, dt, alpha_z)
+        self.z = dmp.phase_step(self.z, self.tau, dt, alpha_z)
         self._x = x_target
         self._v = v_next
         self._x_safe_prev = x_safe
@@ -478,12 +487,8 @@ class SafeDmpEngine:
         start = time.perf_counter()
         x_desired, x_nominal, _, x_safe, _ = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
-        state = self.state
-        state.x = np.asarray(self._x)
-        state.v = np.asarray(self._v)
-        state.e_couple = np.asarray(self._ec)
         self.rows.append((
-            t, *x_nominal, *x_safe, *x_desired, *x_measured, state.tau, state.z,
+            t, *x_nominal, *x_safe, *x_desired, *x_measured, self.tau, self.z,
             self._min_surface_clearance(x_measured, t),
         ))
         return np.asarray(x_desired)
@@ -518,6 +523,10 @@ def run(
 
     offsets: dict[int, np.ndarray] = {}
     for pert in perturbations:
+        if np.shape(pert.offset) != (model.d,):
+            raise InvalidInputError(
+                f"perturbation offset must have the model's {model.d} components"
+            )
         k = int(math.ceil(pert.t_apply / dt - 1e-9))
         offsets[k] = offsets.get(k, 0.0) + np.asarray(pert.offset, dtype=float)
 

@@ -86,6 +86,12 @@ class TestApfRun:
         with pytest.raises(InvalidInputError):
             baselines.dmp_apf_run(sshape_model, dt=dt)
 
+    @pytest.mark.parametrize("engine", [baselines.ApfEngine, safe_exec.SafeDmpEngine])
+    def test_obstacle_dimension_must_match_model(self, sshape_model, engine):
+        obstacle = safe_exec.Obstacle(center0=[0.5, 0.5], radius=0.05)
+        with pytest.raises(InvalidInputError, match="obstacle dimension"):
+            engine(sshape_model, obstacles=[obstacle])
+
     def test_obstacle_free_reproduces_rollout_bitwise(self, sshape_model):
         nominal = dmp.rollout(sshape_model, 0.005)
         log = baselines.dmp_apf_run(

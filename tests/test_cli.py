@@ -308,6 +308,103 @@ def test_dt_flag_rejected(argv, model_path, tmp_path, capsys):
     assert not any(tmp_path.iterdir())  # nothing written, not even the model
 
 
+# Malformed documents: each must exit 2 with the offending value's path.
+_CENTER = [0.5, 0.5, 0.25]
+MALFORMED_SCENARIOS = [
+    ({"obstacles": [{"radius": 0.1}]}, "scenario.obstacles[0].center"),
+    ({"dt": "abc"}, "scenario.dt"),
+    ({"obstacles": 5}, "scenario.obstacles"),
+    ({"obstacles": [{"center": _CENTER, "radius": 0.1, "active_window": [1.0]}]},
+     "scenario.obstacles[0]: active_window"),
+    ([], "scenario: expected an object"),
+    ({"apf": {"eta": None}}, "scenario.apf.eta"),
+    ({"perturbations": [{"t_apply": 0.5}]}, "scenario.perturbations[0].offset"),
+    ({"obstacles": [{"center": _CENTER, "radius": 0.1, "active_window": ["a", "b"]}]},
+     "scenario.obstacles[0].active_window[0]"),
+    ({"dmp": {"n_basis": 1.5}}, "scenario.dmp.n_basis"),
+    ({"safety": []}, "scenario.safety"),
+    ({"name": 5}, "scenario.name"),
+    ({"dt": True}, "scenario.dt"),
+    ({"dt": "0.005"}, "scenario.dt"),
+    ({"preprocess": {"cutoff_hz": -1.0}}, "scenario.preprocess: cutoff_hz"),
+    ({"preprocess": {"rotation": [1.0, 0.0, 0.0]}}, "scenario.preprocess: rotation"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("doc, path", MALFORMED_SCENARIOS)
+def test_malformed_scenario_rejected(command, doc, path, model_path, tmp_path, capsys):
+    spath = tmp_path / "scenarios" / "bad.json"
+    spath.parent.mkdir()
+    spath.write_text(json.dumps(doc))
+    if command == "run":
+        argv = ("run", "--model", str(model_path), "--scenario", str(spath))
+    else:
+        argv = ("bench", "--scenario-dir", str(spath.parent))
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == cli.EXIT_INPUT
+    assert path in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def _model_patch(key, value):
+    def patch(doc):
+        doc[key] = value
+        return doc
+    return patch
+
+
+@pytest.mark.parametrize("patch, path", [
+    (_model_patch("d", "x"), "model.d"),
+    (_model_patch("alpha", "x"), "model.alpha"),
+    (_model_patch("g", "abc"), "model.g"),
+    (_model_patch("centers", ["a"] * 25), "model.centers[0]"),
+    (_model_patch("alpha", None), "model.alpha"),
+    (_model_patch("alpha", math.nan), "model: alpha"),
+    (_model_patch("x0", [math.nan, 0.0, 0.0]), "model: x0"),
+    (lambda doc: [], "model: expected an object"),
+])
+def test_malformed_model_rejected(patch, path, model_path, tmp_path, capsys):
+    mpath = tmp_path / "bad_model.json"
+    mpath.write_text(json.dumps(patch(json.loads(model_path.read_text()))))
+    code = run_cli("run", "--model", str(mpath),
+                   "--scenario", str(SCENARIO_DIR / "free_sshape.json"),
+                   "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_INPUT
+    assert path in capsys.readouterr().err
+
+
+def _two_d_offset(doc):
+    doc["perturbations"] = [{"t_apply": 0.5, "offset": [0.0, 0.05]}]
+
+
+def _two_d_obstacle(doc):
+    doc["obstacles"] = [{"center": [0.5, 0.5], "radius": 0.05}]
+
+
+@pytest.mark.parametrize("method", bench.METHODS)
+@pytest.mark.parametrize("mutate, message", [
+    (_two_d_offset, "perturbation offset"),
+    (_two_d_obstacle, "obstacle dimension"),
+])
+def test_dimension_mismatch_rejected(
+    method, mutate, message, model_path, tmp_path, capsys
+):
+    doc = json.loads((SCENARIO_DIR / "free_sshape.json").read_text())
+    mutate(doc)
+    spath = tmp_path / "scenarios" / "mismatch.json"
+    spath.parent.mkdir()
+    spath.write_text(json.dumps(doc))
+    code = run_cli("run", "--model", str(model_path), "--scenario", str(spath),
+                   "--method", method, "--out", str(tmp_path / "run"))
+    assert code == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+    # bench records a failing cell as a report row with the same message
+    assert run_cli("bench", "--scenario-dir", str(spath.parent),
+                   "--out", str(tmp_path / "bench")) == cli.EXIT_OK
+    report = json.loads((tmp_path / "bench_report.json").read_text())
+    assert all(message in row["error"] for row in report["rows"])
+
+
 class TestRunSimulationCount:
     """``safedmp run`` simulates its main run once, plus only the twins."""
 

@@ -2,7 +2,7 @@
 
 For each scenario under ``scenarios/`` and each method, ``safedmp learn``
 fits a model to the scenario's demonstration (default options) and
-``safedmp run`` executes it; the sha256 of each ``_log.csv`` and
+``safedmp run`` executes it; the sha256 of each model file, ``_log.csv`` and
 ``_metrics.json`` must equal the one stored in ``tests/data/run_digests.json``.
 
 Regenerate the stored digests (only for a deliberate behaviour change, to be
@@ -13,6 +13,7 @@ recorded in CHANGES.md) with::
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -26,7 +27,8 @@ DIGESTS = ROOT / "tests" / "data" / "run_digests.json"
 
 
 def run_digests(workdir: pathlib.Path) -> dict[str, str]:
-    """sha256 of the files ``safedmp run`` writes for every canned cell."""
+    """sha256 of the files ``safedmp learn`` and ``safedmp run`` write for
+    every canned demonstration and cell."""
     models = {}
     digests = {}
     sink = io.StringIO()
@@ -34,10 +36,12 @@ def run_digests(workdir: pathlib.Path) -> dict[str, str]:
         for path in sorted((ROOT / "scenarios").glob("*.json")):
             source = bench.load_scenario(path).demo_source
             if source not in models:
-                models[source] = workdir / f"model_{len(models)}.json"
+                models[source] = workdir / f"model_{source.replace(':', '_')}.json"
                 code = cli.main(["learn", "--demo", source,
                                  "--out", str(models[source])])
                 assert code == 0, f"safedmp learn {source} exited {code}"
+                digests[models[source].name] = hashlib.sha256(
+                    models[source].read_bytes()).hexdigest()
             for method in bench.METHODS:
                 prefix = workdir / f"{path.stem}_{method}"
                 cli.main(["run", "--model", str(models[source]),
@@ -51,8 +55,22 @@ def run_digests(workdir: pathlib.Path) -> dict[str, str]:
 
 def test_run_outputs_match_stored_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert len(expected) == 40
+    assert len(expected) == 43
     assert run_digests(tmp_path) == expected
+
+
+def test_generate_reproduces_scenario_files(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "generate", ROOT / "scenarios" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    monkeypatch.setattr(generate, "OUT", tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        generate.main()
+    committed = sorted((ROOT / "scenarios").glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in committed]
+    for path in committed:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 if __name__ == "__main__":

@@ -346,6 +346,14 @@ class TestRunLoop:
         with pytest.raises(InvalidInputError):
             safe_exec.FirstOrderLagPlant(tau_plant, dt)
 
+    @pytest.mark.parametrize("offset", [[0.0, 0.05], [0.0, 0.05, 0.0, 0.0]])
+    def test_offset_dimension_must_match_model(self, straight_line_model, offset):
+        engine = safe_exec.SafeDmpEngine(straight_line_model, dt=0.005)
+        kick = bench.Perturbation(t_apply=0.1, offset=offset)
+        with pytest.raises(InvalidInputError, match="perturbation offset"):
+            safe_exec.run(engine, perturbations=[kick])
+        assert not engine.rows  # rejected before the first step
+
     def test_infeasible_flagged_not_raised(self, straight_line_model):
         # overlapping chain of clearance spheres straddling the path
         obstacles = [
