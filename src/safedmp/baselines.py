@@ -179,16 +179,8 @@ class ApfEngine:
         x_next_row = x_next.tolist()
         self.rows.append((
             t, *x_nominal.tolist(), *x_next_row, *x_next_row, *x_measured.tolist(),
-            self.state.tau, self.state.z, self._min_surface_clearance(x_measured, t),
-        ))
+            self.state.tau, self.state.z))
         return x_next
-
-    def _min_surface_clearance(self, x: np.ndarray, t: float) -> float:
-        best = math.inf
-        for obs in self.obstacles:
-            if obs.active(t):
-                best = min(best, obs.surface_distance(x, t))
-        return best
 
 
 def dmp_apf_run(

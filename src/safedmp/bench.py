@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, codec, dmp, safe_exec, trajectory
-from .errors import InvalidInputError, UndefinedMetricError
+from .errors import INPUT_ERRORS, InvalidInputError, UndefinedMetricError
 
 SCHEMA_VERSION = 1
 
@@ -317,35 +317,39 @@ class PreparedScenario:
     nominal_converged: bool
 
 
+def learn_demo(
+    demo_source: str, preprocess: PreprocessOptions, options: DmpOptions
+) -> tuple[trajectory.TimedTrajectory, dmp.DmpModel]:
+    """Load, check and preprocess a demonstration; return it with its model."""
+    demo_raw = trajectory.load_demo(demo_source)
+    if demo_raw.n < options.n_basis:
+        raise InvalidInputError(
+            f"demonstration has {demo_raw.n} samples; "
+            f"need at least n_basis={options.n_basis}"
+        )
+    demo = trajectory.preprocess(
+        demo_raw,
+        resample_n=preprocess.resample_n,
+        cutoff_hz=preprocess.cutoff_hz,
+        z_height=preprocess.z_height,
+        rotation=preprocess.rotation_matrix(),
+    )
+    return demo, dmp.learn_from_trajectory(
+        demo, n_basis=options.n_basis, alpha=options.alpha
+    )
+
+
 def prepare(scenario: Scenario, learned: dict | None = None) -> PreparedScenario:
-    """Load and preprocess the demonstration, learn the model, then :func:`plan`.
+    """:func:`learn_demo` the scenario's demonstration, then :func:`plan`.
 
     ``learned`` memoizes ``(demo, model)`` by the fields learning reads
     (demo source, preprocessing, basis count and alpha), so scenarios that
     share a demonstration learn it once and share its forcing tables.
     """
     learned = {} if learned is None else learned
-    options = scenario.dmp
-    key = (scenario.demo_source, scenario.preprocess, options)
+    key = (scenario.demo_source, scenario.preprocess, scenario.dmp)
     if key not in learned:
-        demo_raw = trajectory.load_demo(scenario.demo_source)
-        if demo_raw.n < options.n_basis:
-            raise InvalidInputError(
-                f"demonstration has {demo_raw.n} samples; "
-                f"need at least n_basis={options.n_basis}"
-            )
-        pre = scenario.preprocess
-        demo = trajectory.preprocess(
-            demo_raw,
-            resample_n=pre.resample_n,
-            cutoff_hz=pre.cutoff_hz,
-            z_height=pre.z_height,
-            rotation=pre.rotation_matrix(),
-        )
-        model = dmp.learn_from_trajectory(
-            demo, n_basis=options.n_basis, alpha=options.alpha
-        )
-        learned[key] = (demo, model)
+        learned[key] = learn_demo(*key)
     demo, model = learned[key]
     return plan(scenario, model, demo)
 
@@ -409,6 +413,14 @@ def _build_plant(scenario: Scenario):
     return safe_exec.FirstOrderLagPlant(scenario.execution.plant_tau, scenario.dt)
 
 
+def _step_cap(prepared: PreparedScenario) -> int:
+    """Control steps a run may take: the execution horizon over dt, at least 1."""
+    scenario = prepared.scenario
+    return max(1, int(round(
+        scenario.execution.max_horizon_factor * prepared.model.tau_nominal / scenario.dt
+    )))
+
+
 def run_scenario(
     prepared: PreparedScenario,
     method: str | None = None,
@@ -419,19 +431,11 @@ def run_scenario(
     if not with_obstacles:
         scenario = replace(scenario, obstacles=())
         prepared = replace(prepared, scenario=scenario)
-    engine = build_engine(prepared, method)
-    max_steps = max(
-        1,
-        int(round(
-            scenario.execution.max_horizon_factor
-            * prepared.model.tau_nominal / scenario.dt
-        )),
-    )
     return safe_exec.run(
-        engine,
+        build_engine(prepared, method),
         plant=_build_plant(scenario),
         perturbations=scenario.perturbations if with_perturbations else (),
-        max_steps=max_steps,
+        max_steps=_step_cap(prepared),
         goal_tol=scenario.execution.goal_tol,
     )
 
@@ -542,7 +546,7 @@ def evaluate(
 
 
 def timing_harness(
-    scenario_or_prepared,
+    prepared: PreparedScenario,
     repetitions: int = 10_000,
     method: str | None = None,
     warmup: int = 200,
@@ -555,10 +559,6 @@ def timing_harness(
     """
     if repetitions < 100:
         raise InvalidInputError("timing needs at least 100 measured steps")
-    if isinstance(scenario_or_prepared, Scenario):
-        prepared = prepare(scenario_or_prepared)
-    else:
-        prepared = scenario_or_prepared
     scenario = prepared.scenario
     method = method or scenario.method
 
@@ -568,11 +568,7 @@ def timing_harness(
         plant.reset(engine.initial_position())
         return engine, plant, engine.initial_position()
 
-    max_steps = int(round(
-        scenario.execution.max_horizon_factor
-        * prepared.model.tau_nominal / scenario.dt
-    ))
-
+    max_steps = _step_cap(prepared)
     engine, plant, x_measured = fresh()
     durations = np.empty(repetitions)
     measured = 0
@@ -610,10 +606,11 @@ def compare(
     methods=METHODS,
     with_timing: bool = False,
 ) -> list[ReportRow]:
-    """Run every (method, scenario) pair; per-cell failures become rows.
+    """Run every (method, scenario) pair; a cell's input error becomes its row.
 
-    Each demonstration is learned once (see :func:`prepare`) and each
-    scenario planned once.
+    Any exception outside :data:`errors.INPUT_ERRORS` propagates.  Each
+    demonstration is learned once (see :func:`prepare`) and each scenario
+    planned once.
     """
     learned: dict = {}
     prepared_cache: dict[str, PreparedScenario] = {}
@@ -626,7 +623,7 @@ def compare(
             log = run_scenario(prepared, method)
             metrics = evaluate(prepared, log, method, with_timing)
             return ReportRow(scenario.name, method, metrics)
-        except Exception as exc:  # recorded, not fatal
+        except INPUT_ERRORS as exc:  # recorded, not fatal
             return ReportRow(scenario.name, method, None, error=str(exc))
 
     return [cell(s, m) for s in scenarios for m in methods]

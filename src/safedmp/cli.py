@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import pathlib
 import sys
 
 import numpy as np
 
 from . import bench, dmp, safe_exec, trajectory
-from .errors import InvalidInputError, ParseError, SafeDmpError
+from .errors import INPUT_ERRORS, InvalidInputError, ParseError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,26 +68,18 @@ def read_log_csv(path) -> np.ndarray:
 
 
 def cmd_learn(args) -> int:
-    demo_raw = trajectory.load_demo(args.demo)
-    if demo_raw.n < args.n_basis:
-        raise InvalidInputError(
-            f"demonstration has {demo_raw.n} samples; "
-            f"need at least n_basis={args.n_basis}"
-        )
     rotation = None
     if args.rotate_random:
         from scipy.spatial.transform import Rotation
 
         rng = np.random.default_rng(args.seed)
-        rotation = Rotation.random(random_state=rng).as_matrix()
-    demo = trajectory.preprocess(
-        demo_raw,
-        resample_n=args.resample_n,
-        cutoff_hz=args.cutoff_hz,
-        z_height=args.z_height,
-        rotation=rotation,
+        rotation = tuple(Rotation.random(random_state=rng).as_matrix().ravel())
+    preprocess = bench.PreprocessOptions(
+        resample_n=args.resample_n, cutoff_hz=args.cutoff_hz,
+        z_height=args.z_height, rotation=rotation,
     )
-    model = dmp.learn_from_trajectory(demo, n_basis=args.n_basis, alpha=args.alpha)
+    options = bench.DmpOptions(alpha=args.alpha, n_basis=args.n_basis)
+    demo, model = bench.learn_demo(args.demo, preprocess, options)
     # the goal check also rejects a bad --dt before the model is written
     goal_check = dmp.rollout(model, args.dt)
     dmp.save_model(model, args.out)
@@ -210,11 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SafeDmpError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import json
+
 
 class SafeDmpError(Exception):
     """Base class for all errors raised by this package."""
@@ -49,3 +51,8 @@ class ParseError(SafeDmpError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+#: Bad input: the package's errors, unreadable files (missing, a directory,
+#: not UTF-8) and malformed JSON.  Any other exception is a programming error.
+INPUT_ERRORS = (SafeDmpError, OSError, UnicodeDecodeError, json.JSONDecodeError)

@@ -12,6 +12,8 @@ execution slows down while the measured motion detours and re-converges.
 The step math lives in four module-level routines over plain float
 sequences: :func:`worst_violation`, :func:`project`, :func:`tube_correction`
 and :func:`coupling_step`.  The engine calls them, and so do the tests.
+No control decision reads the surface clearance: :func:`run` computes the
+log's column for all steps at once (:func:`surface_clearance`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class Obstacle:
     """Sphere with optional constant drift and activity window.
 
     The engine reads obstacles only once, into its obstacle table (see
-    :func:`obstacle_table`); ``position`` and ``surface_distance`` serve the
-    potential-field baseline and callers that inspect a scenario.  In a
+    :func:`obstacle_table`), and :func:`run` reads them once more for the
+    log's clearance column (:func:`surface_clearance`); ``position`` serves
+    the potential-field baseline and callers that inspect a scenario.  In a
     scenario document the center is ``center``, and a zero velocity and an
     absent window are left out.
     """
@@ -96,10 +99,6 @@ class Obstacle:
         if not self.active(t):
             return np.full(self.d, np.inf)
         return self.center0 + self.velocity * t
-
-    def surface_distance(self, x: np.ndarray, t: float) -> float:
-        diff = x - self.position(t)
-        return math.sqrt(diff.dot(diff)) - self.radius
 
 
 @dataclass(frozen=True)
@@ -186,17 +185,16 @@ class ExecutionLog:
 def obstacle_table(obstacles, delta_gamma: float) -> list[tuple]:
     """The engine's obstacle table: one plain-float row per obstacle.
 
-    A row is ``(center0, velocity, radius, clearance, window, moving)``:
-    center at t=0 and velocity as tuples, the clearance radius (radius plus
-    half the tube width), the activity window or None, and whether the
-    obstacle moves.  Rows are plain tuples because the scan unpacks them on
+    A row is ``(center0, velocity, clearance, window, moving)``: center at
+    t=0 and velocity as tuples, the clearance radius (radius plus half the
+    tube width), the activity window or None, and whether the obstacle
+    moves.  Rows are plain tuples because the scan unpacks them on
     every control step.
     """
     return [
         (
             tuple(float(v) for v in o.center0),
             tuple(float(v) for v in o.velocity),
-            o.radius,
             o.radius + 0.5 * delta_gamma,
             o.active_window,
             bool(np.any(o.velocity != 0.0)),
@@ -208,16 +206,16 @@ def obstacle_table(obstacles, delta_gamma: float) -> list[tuple]:
 def worst_violation(table, point, t: float):
     """Deepest clearance breach of ``point`` among obstacles active at ``t``.
 
-    Returns ``(gap, center, dist, clearance, radius)`` for the obstacle with
+    Returns ``(gap, center, dist, clearance)`` for the obstacle with
     the smallest ``gap = dist - clearance`` (negative inside its clearance
     sphere), where ``center`` is its center at ``t`` and ``dist`` the
     distance from ``point`` to it; ``gap`` is inf and ``center`` None when
     no obstacle is active.
     """
     gap_min = math.inf
-    w_center, w_dist, w_clearance, w_radius = None, 0.0, 0.0, 0.0
+    w_center, w_dist, w_clearance = None, 0.0, 0.0
     sqrt = math.sqrt
-    for center0, vel, radius, clearance, window, moving in table:
+    for center0, vel, clearance, window, moving in table:
         if window is not None and not window[0] <= t <= window[1]:
             continue
         if moving:
@@ -231,10 +229,8 @@ def worst_violation(table, point, t: float):
         dist = sqrt(acc)
         gap = dist - clearance
         if gap < gap_min:
-            gap_min, w_center, w_dist, w_clearance, w_radius = (
-                gap, center, dist, clearance, radius
-            )
-    return gap_min, w_center, w_dist, w_clearance, w_radius
+            gap_min, w_center, w_dist, w_clearance = gap, center, dist, clearance
+    return gap_min, w_center, w_dist, w_clearance
 
 
 def project(table, point: list, t: float, fallback, hit=None) -> list:
@@ -250,7 +246,7 @@ def project(table, point: list, t: float, fallback, hit=None) -> list:
     """
     if hit is None:
         hit = worst_violation(table, point, t)
-    gap, center, dist, clearance, _ = hit
+    gap, center, dist, clearance = hit
     d = len(point)
     for _ in range(d + 2):
         if not gap < 0.0:
@@ -261,7 +257,7 @@ def project(table, point: list, t: float, fallback, hit=None) -> list:
         else:
             for i in range(d):
                 point[i] = center[i] + (point[i] - center[i]) / dist * clearance
-        gap, center, dist, clearance, _ = worst_violation(table, point, t)
+        gap, center, dist, clearance = worst_violation(table, point, t)
     if gap < -PROJECTION_TOL:
         raise SafetyInfeasibleError(
             "clearance spheres overlap; no collision-free projection found"
@@ -487,16 +483,28 @@ class SafeDmpEngine:
         start = time.perf_counter()
         x_desired, x_nominal, _, x_safe, _ = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
-        self.rows.append((
-            t, *x_nominal, *x_safe, *x_desired, *x_measured, self.tau, self.z,
-            self._min_surface_clearance(x_measured, t),
-        ))
+        self.rows.append(
+            (t, *x_nominal, *x_safe, *x_desired, *x_measured, self.tau, self.z)
+        )
         return np.asarray(x_desired)
 
-    def _min_surface_clearance(self, x, t: float) -> float:
-        """Distance from ``x`` to the nearest active obstacle surface."""
-        _, center, dist, _, radius = worst_violation(self._table, x, t)
-        return math.inf if center is None else dist - radius
+
+def surface_clearance(obstacles, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distance from each ``x[k]`` to the nearest surface of an obstacle
+    active at ``t[k]`` (inf if none), each squared distance summed in
+    dimension order as in :func:`worst_violation`."""
+    best = np.full(t.shape, math.inf)
+    for obs in obstacles:
+        acc = 0.0
+        for i in range(x.shape[1]):
+            diff = x[:, i] - (obs.center0[i] + obs.velocity[i] * t)
+            acc = acc + diff * diff
+        gap = np.sqrt(acc) - obs.radius
+        if obs.active_window is not None:
+            t0, t1 = obs.active_window
+            gap[(t < t0) | (t > t1)] = math.inf
+        np.minimum(best, gap, out=best)
+    return best
 
 
 def run(
@@ -511,6 +519,8 @@ def run(
     The plant realizes each command one control period later; perturbations
     displace the measured position for exactly one step.  Safety
     infeasibility flags the log and stops the run instead of propagating.
+    Engines log ``4d+3`` columns per step; the ``min_clearance`` column is
+    added here from the ``t`` and ``xm_*`` columns and ``engine.obstacles``.
     """
     if plant is None:
         plant = IdealPlant()
@@ -552,9 +562,12 @@ def run(
                 converged = True
                 break
 
+    rows = np.array(engine.rows, dtype=float).reshape(-1, 4 * model.d + 3)
+    x_measured = rows[:, 1 + 3 * model.d: 1 + 4 * model.d]
+    clearance = surface_clearance(engine.obstacles, rows[:, 0], x_measured)
     seconds = engine.step_seconds
     return ExecutionLog(
-        rows=np.array(engine.rows, dtype=float).reshape(-1, 4 * model.d + 4),
+        rows=np.column_stack((rows, clearance)),
         converged=converged,
         safety_infeasible=infeasible,
         dt=dt,

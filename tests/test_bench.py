@@ -415,6 +415,20 @@ class TestEvaluateAndCompare:
         assert rows[0].metrics is None
         assert "doesnotexist" in rows[0].error
 
+    def test_compare_records_only_input_errors(self, monkeypatch):
+        scenario = bench.Scenario(name="free", demo_source="builtin:minjerk")
+
+        def raising(exc):
+            def run_scenario(*args, **kwargs):
+                raise exc
+            return run_scenario
+
+        monkeypatch.setattr(bench, "run_scenario", raising(InvalidInputError("bad")))
+        assert [row.error for row in bench.compare([scenario])] == ["bad", "bad"]
+        monkeypatch.setattr(bench, "run_scenario", raising(RuntimeError("a bug")))
+        with pytest.raises(RuntimeError, match="a bug"):
+            bench.compare([scenario])
+
     def test_symmetric_scenario_flags_apf(self, straight_line_model):
         obs = safe_exec.Obstacle(center0=[0.3, 0.0, 0.25], radius=0.05)
         nominal = dmp.rollout(straight_line_model, 0.005)

@@ -346,6 +346,25 @@ def test_malformed_scenario_rejected(command, doc, path, model_path, tmp_path, c
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+@pytest.mark.parametrize("argv", [
+    ("learn", "--demo", "BAD"),
+    ("run", "--model", "BAD", "--scenario", str(SCENARIO_DIR / "free_sshape.json")),
+    ("run", "--model", "MODEL", "--scenario", "BAD"),
+])
+def test_unreadable_input_file_rejected(argv, unreadable, model_path, tmp_path, capsys):
+    bad = tmp_path / "input"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"t,x,y\n0,\xff\xfe,0\n")
+    paths = {"BAD": str(bad), "MODEL": str(model_path)}
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("out*"))
+
+
 def _model_patch(key, value):
     def patch(doc):
         doc[key] = value

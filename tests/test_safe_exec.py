@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safedmp import bench, safe_exec, stt
 from safedmp.errors import InvalidInputError, SafetyInfeasibleError
@@ -367,3 +369,87 @@ class TestRunLoop:
         assert log.safety_infeasible
         assert not log.converged
         assert log.steps >= 1  # partial log retained
+
+    def test_infeasible_at_step_zero_gives_empty_log(self, straight_line_model):
+        # clearance spheres 0.16 apart on the path axis, with the first
+        # target between them: each push lands inside the other sphere
+        x0 = straight_line_model.x0
+        obstacles = [
+            safe_exec.Obstacle(center0=x0 + [dx, 0.0, 0.0], radius=0.1)
+            for dx in (-0.01, 0.15)
+        ]
+        engine = safe_exec.SafeDmpEngine(
+            straight_line_model, obstacles=obstacles, dt=0.005
+        )
+        log = safe_exec.run(engine)
+        assert log.safety_infeasible and not log.converged
+        assert log.rows.shape == (0, 4 * 3 + 4)
+        assert log.min_surface_clearance() == math.inf
+
+
+# --- the log's clearance column -------------------------------------------------
+
+coords = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def clearance_cases(draw):
+    """Random static, moving and windowed spheres, times and points."""
+    d = draw(st.integers(1, 4))
+    vector = st.lists(coords, min_size=d, max_size=d)
+    obstacles = []
+    for _ in range(draw(st.integers(0, 4))):
+        window = None
+        if draw(st.booleans()):
+            t0 = draw(st.floats(0.0, 10.0))
+            window = (t0, t0 + draw(st.floats(1e-3, 10.0)))
+        obstacles.append(safe_exec.Obstacle(
+            center0=draw(vector),
+            radius=draw(st.floats(1e-3, 10.0)),
+            velocity=draw(st.none() | vector),
+            active_window=window,
+        ))
+    # window edges are inclusive, so they are always among the times
+    edges = [t for o in obstacles if o.active_window for t in o.active_window]
+    times = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=20)) + edges
+    points = draw(st.lists(vector, min_size=len(times), max_size=len(times)))
+    return obstacles, np.array(times), np.array(points, dtype=float).reshape(-1, d)
+
+
+def scalar_clearance(obstacles, t, x):
+    """Reference: per step and obstacle, sqrt of the sequential sum minus
+    the radius, inf when inactive; then the min over obstacles."""
+    out = []
+    for t_k, x_k in zip(t.tolist(), x.tolist()):
+        best = math.inf
+        for obs in obstacles:
+            if obs.active_window is not None and not (
+                obs.active_window[0] <= t_k <= obs.active_window[1]
+            ):
+                continue
+            acc = 0.0
+            for p, c, v in zip(x_k, obs.center0.tolist(), obs.velocity.tolist()):
+                diff = p - (c + v * t_k)
+                acc += diff * diff
+            best = min(best, math.sqrt(acc) - obs.radius)
+        out.append(best)
+    return np.array(out)
+
+
+class TestSurfaceClearance:
+    @settings(max_examples=200, deadline=None)
+    @given(clearance_cases())
+    def test_matches_scalar_reference_bit_for_bit(self, case):
+        obstacles, t, x = case
+        got = safe_exec.surface_clearance(obstacles, t, x)
+        assert got.shape == t.shape
+        assert got.tobytes() == scalar_clearance(obstacles, t, x).tobytes()
+
+    def test_run_fills_the_column_from_its_own_rows(self, sshape_model, sshape_nominal):
+        rng = np.random.default_rng(42)
+        obs = bench.random_crossing_obstacle(sshape_nominal.trajectory, rng)
+        log = safe_exec.run(
+            safe_exec.SafeDmpEngine(sshape_model, obstacles=[obs], dt=0.005)
+        )
+        expected = scalar_clearance([obs], log.t, log.x_measured)
+        assert log.min_clearance.tobytes() == expected.tobytes()
