@@ -28,14 +28,15 @@ EXIT_NONCONVERGED = 4
 def write_log_csv(log: safe_exec.ExecutionLog, path) -> None:
     """Write ``log.rows`` under the names of :func:`safe_exec.log_columns`.
 
-    Floats use shortest round-trip formatting.
+    Floats use shortest round-trip formatting (``csv`` writes a float as
+    its ``repr``).
     """
     if not log.steps:
         raise InvalidInputError("cannot write an empty execution log")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(safe_exec.log_columns(log.goal.shape[0]))
-        writer.writerows([repr(v) for v in row] for row in log.rows.tolist())
+        writer.writerows(log.rows.tolist())
 
 
 def read_log_csv(path) -> np.ndarray:

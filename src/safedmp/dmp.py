@@ -131,12 +131,21 @@ class DmpModel:
         return self.g - self.x0
 
     @cached_property
+    def neg_widths(self) -> np.ndarray:
+        """``-widths``; computed once, the basis activations read it on every
+        call."""
+        return -self.widths
+
+    @cached_property
     def forcing_tables(self) -> dict:
         """Phase-grid forcing tables of :func:`forcing_at`, keyed by ``dt``.
 
         Each value is ``(phases, forces)``: the grid phases ``z_k`` and the
-        forcing values ``f_k = forcing(model, z_k)`` computed so far, with
-        one phase more than forces (the next grid phase).  A model made by
+        read-only forcing values ``f_k = forcing(model, z_k)`` computed so
+        far, with one phase more than forces (the next grid phase, NaN where
+        :func:`phase_step` would raise :class:`PhaseStepError`).  A table
+        that runs out doubles (see :func:`forcing_at`), so it is never longer
+        than twice the longest run on its ``dt``.  A model made by
         ``dataclasses.replace`` (e.g. :func:`retarget`) starts empty.
         """
         return {}
@@ -163,23 +172,60 @@ def initial_state(model: DmpModel) -> DmpState:
     )
 
 
+def _activations(model: DmpModel, z):
+    """``exp(-h_j (z - c_j)^2)`` at a float phase, shape (n,), or at each row
+    of a ``(K, 1)`` column of phases, shape (K, n); the phase is not checked.
+
+    Computed in place (same bits as ``np.exp(-widths * (z - centers)**2)``):
+    the scalar call runs on every off-grid step, where each temporary counts.
+    """
+    psi = z - model.centers
+    psi *= psi
+    psi *= model.neg_widths
+    return np.exp(psi, out=psi)
+
+
 def basis_activations(model: DmpModel, z: float) -> np.ndarray:
     """Gaussian activations ``psi_j = exp(-h_j (z - c_j)^2)``."""
     if not 0.0 < z <= 1.0:
         raise InvalidInputError(f"phase must lie in (0, 1], got {z}")
-    return np.exp(-model.widths * (z - model.centers) ** 2)
+    return _activations(model, z)
+
+
+def _gated(model: DmpModel, z, psi: np.ndarray, total) -> np.ndarray:
+    """The forcing formula at a float phase or at each row of a phase column.
+
+    ``psi`` comes from :func:`_activations` at the same ``z``, and ``total``
+    is its sum over the basis, ``np.add.reduce(psi, axis=-1)``: a float for
+    a float phase, kept as a ``(K, 1)`` column for a column (a scalar
+    divides faster than a length-1 array).  The matvec is numpy's stacked
+    matmul over psi columns, which runs the same per-row gemv as
+    ``weights @ psi``, so a row of a batch equals the scalar call bit for bit;
+    one gemm (``psi @ weights.T``) rounds differently.  The products are
+    taken in place, as ``amplitude * (z * (W psi) / total)``.
+    """
+    f = np.matmul(model.weights, psi[..., None])[..., 0]
+    f *= z
+    f /= total
+    f *= model.amplitude
+    return f
 
 
 def forcing(model: DmpModel, z: float) -> np.ndarray:
     """Phase-gated forcing ``f_i = (g_i - x0_i) * z * (psi . w_i) / sum(psi)``."""
-    psi = basis_activations(model, z)
-    total = psi.sum()
+    # basis_activations inlined: one call less on every off-grid step
+    if not 0.0 < z <= 1.0:
+        raise InvalidInputError(f"phase must lie in (0, 1], got {z}")
+    psi = _activations(model, z)
+    total = np.add.reduce(psi, axis=-1)
     if total < 1e-300:
         raise DegeneratePhaseError(f"basis does not cover phase z={z}")
-    return model.amplitude * (z * (model.weights @ psi) / total)
+    return _gated(model, z, psi, total)
 
 
-def forcing_at(model: DmpModel, dt: float, k: int, z: float) -> np.ndarray:
+def forcing_at(
+    model: DmpModel, dt: float, k: int, z: float, max_steps: int | None = None
+) -> np.ndarray:
     """``forcing(model, z)`` for step k of a run with time step ``dt``.
 
     Every run at the constant nominal time scale steps through the same
@@ -188,8 +234,11 @@ def forcing_at(model: DmpModel, dt: float, k: int, z: float) -> np.ndarray:
     and ``dt`` and stored read-only in ``model.forcing_tables[dt]``.  The
     stored value is returned only when ``z == z_k`` exactly (the same
     function of the same input); any other phase is computed and not
-    stored.  The table grows one grid step at a time, so it is never longer
-    than the longest run on ``dt``.
+    stored.  A run that reaches the table's end on the grid appends the
+    next block in one numpy pass (:func:`_extend_table`): the table doubles,
+    but never past ``max_steps``, the caller's step cap (steps k <
+    ``max_steps``).  So a table is never longer than twice the longest run
+    on ``dt``, nor than the cap of a rollout that grew it.
     """
     table = model.forcing_tables.get(dt)
     if table is None:
@@ -200,16 +249,46 @@ def forcing_at(model: DmpModel, dt: float, k: int, z: float) -> np.ndarray:
         if z == phases[k]:
             return forces[k]
     elif k == n and z == phases[k]:
-        f = forcing(model, z)
-        f.flags.writeable = False
-        try:
-            z_next = phase_step(z, model.tau_nominal, dt, model.alpha_z)
-        except PhaseStepError:
-            z_next = math.nan  # no run at the nominal time scale gets past z
-        forces.append(f)
-        phases.append(z_next)
-        return f
+        _extend_table(model, dt, table, max_steps)
+        if k < len(forces):
+            return forces[k]
     return forcing(model, z)
+
+
+def _extend_table(model: DmpModel, dt: float, table, max_steps: int | None):
+    """Append the next grid phases and their forcing values to ``table``.
+
+    The table doubles (an empty one gets one entry), but not past
+    ``max_steps``.  The phases are the sequential products of
+    :func:`phase_step` (``np.cumprod``), and the block stops before the first
+    phase outside (0, 1] or whose basis sum is below 1e-300: it is stored as
+    the next phase, and the step that reaches it raises from :func:`forcing`
+    as it would without a table.  Where :func:`phase_step` raises
+    :class:`PhaseStepError`, only one entry is added and the next phase is
+    NaN, since no run at the nominal time scale gets past it.
+    """
+    phases, forces = table
+    n = len(forces)
+    count = max(n, 1)
+    if max_steps is not None:
+        count = min(count, max_steps - n)
+    try:
+        # phase_step(z) is z * (1 - alpha_z dt / tau), and this factor is it at z = 1
+        factor = phase_step(1.0, model.tau_nominal, dt, model.alpha_z)
+    except PhaseStepError:
+        count, factor = 1, math.nan
+    grid = np.full(count + 1, factor)
+    grid[0] = phases[n]
+    grid = np.cumprod(grid)
+    z = grid[:-1, None]
+    psi = _activations(model, z)
+    total = np.add.reduce(psi, axis=-1, keepdims=True)
+    bad = np.flatnonzero(~((z > 0.0) & (z <= 1.0) & (total >= 1e-300)))
+    count = int(bad[0]) if bad.size else count
+    f = _gated(model, z[:count], psi[:count], total[:count])
+    f.flags.writeable = False
+    forces.extend(f)
+    phases.extend(grid[1 : count + 1].tolist())
 
 
 def target_forcing(
@@ -401,7 +480,7 @@ def rollout(
             if math.sqrt(diff.dot(diff)) < goal_tol:
                 converged = True
                 break
-        f = forcing_at(model, dt, k, z).tolist()
+        f = forcing_at(model, dt, k, z, max_steps).tolist()
         x, v = attractor_step(x, v, f, g_list, tau, dt, alpha, beta)
         z = phase_step(z, tau, dt, alpha_z)
         positions.append(x)

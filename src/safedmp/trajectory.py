@@ -10,6 +10,7 @@ immutable :class:`TimedTrajectory` values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,11 +140,17 @@ def resample(traj: TimedTrajectory, n: int) -> TimedTrajectory:
     return TimedTrajectory(grid, out)
 
 
+@functools.lru_cache(maxsize=16)
 def _critically_damped_coeffs(cutoff_hz: float, fs: float):
     # Double real pole placed so the -3 dB point of one pass sits at cutoff_hz:
     # |H(jw)| = w0^2/(w0^2 + w^2) equals 1/sqrt(2) at w = w0*sqrt(sqrt(2)-1).
+    # Cached: ``bilinear`` costs more than the filtering it sets up, and every
+    # preprocess asks for the same few (cutoff, rate) pairs; ``b`` and ``a``
+    # are shared, so they are read-only.
     omega0 = 2.0 * math.pi * cutoff_hz / math.sqrt(math.sqrt(2.0) - 1.0)
     b, a = signal.bilinear([omega0**2], [1.0, 2.0 * omega0, omega0**2], fs=fs)
+    b.flags.writeable = False
+    a.flags.writeable = False
     return b, a, omega0
 
 

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safedmp import bench, dmp, safe_exec
 from safedmp import trajectory as tj
 from safedmp.errors import (
+    DegeneratePhaseError,
     InsufficientDataError,
     InvalidInputError,
     PhaseStepError,
@@ -406,6 +409,108 @@ class TestForcingTable:
         f0 = dmp.forcing_at(moved, 0.005, 0, 1.0)
         assert np.array_equal(f0, dmp.forcing(moved, 1.0))
         assert not np.array_equal(f0, m.forcing_tables[0.005][1][0])
+
+
+def narrow_basis_model():
+    """Two narrow basis functions: grid phases below ~0.02 have basis sum < 1e-300."""
+    return dmp.DmpModel(
+        d=2, n_basis=2, alpha=25.0, tau_nominal=0.5,
+        x0=np.zeros(2), g=np.array([1.0, -0.5]),
+        centers=np.array([1.0, 0.5]), widths=np.array([3000.0, 3000.0]),
+        weights=np.array([[1.0, -2.0], [0.5, 3.0]]),
+    )
+
+
+#: First step of a dt=0.005 grid on :func:`narrow_basis_model` whose phase the
+#: basis does not cover; one-step table growth raised at this step too.
+NARROW_DEGENERATE_STEP = 92
+
+
+class TestForcingTableEnds:
+    """Where the phase grid stops: uncovered phases and a phase step past zero."""
+
+    def test_converged_rollout_stops_before_uncovered_phase(self):
+        m = narrow_basis_model()
+        result = dmp.rollout(m, 0.005)
+        assert result.converged and result.steps < NARROW_DEGENERATE_STEP
+        # the doubled block stopped before the uncovered phase
+        phases, forces = m.forcing_tables[0.005]
+        assert len(forces) == NARROW_DEGENERATE_STEP
+        with pytest.raises(DegeneratePhaseError):
+            dmp.forcing(m, phases[-1])
+
+    def test_uncovered_phase_raises_at_its_step(self):
+        m = narrow_basis_model()
+        with pytest.raises(DegeneratePhaseError) as err:
+            dmp.rollout(m, 0.005, stop_at_goal=False)
+        phases, forces = m.forcing_tables[0.005]
+        assert len(forces) == NARROW_DEGENERATE_STEP
+        assert str(err.value) == (
+            f"basis does not cover phase z={phases[NARROW_DEGENERATE_STEP]}"
+        )
+
+    def test_phase_step_past_zero_ends_grid_with_nan(self):
+        m = random_model(seed=5, d=3, tau=0.01)  # alpha_z*dt/tau = 2.08
+        assert m.alpha_z * 0.005 / m.tau_nominal >= 1.0
+        with pytest.raises(PhaseStepError):
+            dmp.rollout(m, 0.005, stop_at_goal=False)
+        phases, forces = m.forcing_tables[0.005]
+        assert phases[0] == 1.0 and math.isnan(phases[1]) and len(phases) == 2
+        assert len(forces) == 1
+        assert np.array_equal(forces[0], dmp.forcing(m, 1.0))
+        # the NaN phase matches no run's phase, so later steps are computed
+        assert np.array_equal(dmp.forcing_at(m, 0.005, 1, 0.5), dmp.forcing(m, 0.5))
+        assert len(forces) == 1
+
+
+@st.composite
+def table_models(draw):
+    d = draw(st.integers(1, 4))
+    n_basis = draw(st.integers(2, 40))
+    alpha = draw(st.floats(5.0, 50.0))
+    centers, widths = dmp.default_basis(n_basis, alpha / 6.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 50.0, 1e4]))
+    return dmp.DmpModel(
+        d=d, n_basis=n_basis, alpha=alpha,
+        tau_nominal=draw(st.floats(0.2, 3.0)),
+        x0=rng.uniform(-1.0, 1.0, d), g=rng.uniform(-1.0, 1.0, d),
+        centers=centers, widths=widths,
+        weights=rng.uniform(-scale, scale, size=(d, n_basis)),
+    )
+
+
+class TestForcingTableProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table_models(),
+        st.sampled_from([0.001, 0.002, 0.005, 0.01]),
+        st.lists(
+            st.tuples(st.floats(0.01, 1.5), st.booleans()), min_size=1, max_size=3
+        ),
+    )
+    def test_batch_fill_matches_scalar_forcing(self, m, dt, runs):
+        """Every table entry is ``forcing`` at its grid phase, bit for bit (the
+        stacked matmul must dispatch the same gemv as ``weights @ psi``), and
+        the table is at most the largest rollout cap and twice the longest run."""
+        longest, cap = 0, 0
+        for horizon_factor, stop_at_goal in runs:
+            horizon = horizon_factor * m.tau_nominal
+            cap = max(cap, max(1, round(horizon / dt)))
+            result = dmp.rollout(m, dt, horizon=horizon, stop_at_goal=stop_at_goal)
+            longest = max(longest, result.steps)
+        if longest == 0:  # started at the goal: no step read the table
+            return
+        phases, forces = m.forcing_tables[dt]
+        assert len(phases) == len(forces) + 1
+        assert len(forces) <= cap and len(forces) <= 2 * longest
+        z = 1.0
+        for k, f in enumerate(forces):
+            assert phases[k] == z
+            assert not f.flags.writeable
+            assert np.array_equal(f, dmp.forcing(m, z))
+            z = dmp.phase_step(z, m.tau_nominal, dt, m.alpha_z)
+        assert phases[-1] == z
 
 
 class TestAdaptTiming:
