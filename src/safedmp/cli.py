@@ -28,15 +28,24 @@ EXIT_NONCONVERGED = 4
 def write_log_csv(log: safe_exec.ExecutionLog, path) -> None:
     """Write ``log.rows`` under the names of :func:`safe_exec.log_columns`.
 
-    Floats use shortest round-trip formatting (``csv`` writes a float as
-    its ``repr``).
+    The bytes are those of ``csv.writer`` writing the header and
+    ``log.rows.tolist()``: floats in shortest round-trip formatting (their
+    ``repr``), comma separated, ``\\r\\n`` line ends, no quoting (no column
+    name or float ``repr`` holds a comma, quote or line break).  Logs repeat
+    many values (under an ideal plant each measured position is the
+    previous command), so each distinct 64-bit pattern is formatted once
+    and indexed back into the rows.  Keying on bits, not values, keeps
+    ``-0.0`` apart from ``0.0``.
     """
     if not log.steps:
         raise InvalidInputError("cannot write an empty execution log")
+    bits = np.ascontiguousarray(log.rows).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    lines = [safe_exec.log_columns(log.goal.shape[0])]
+    lines += text[index].reshape(bits.shape).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(safe_exec.log_columns(log.goal.shape[0]))
-        writer.writerows(log.rows.tolist())
+        fh.write("".join([",".join(line) + "\r\n" for line in lines]))
 
 
 def read_log_csv(path) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,6 +367,11 @@ class SafeDmpEngine:
     an obstacle-free run reproduces the nominal rollout bit for bit.  Until
     the time scale first leaves ``tau_nominal`` the phase is on the nominal
     grid and the forcing comes from the model's table (:func:`dmp.forcing_at`).
+
+    :meth:`control` accepts the measured position as any float sequence and
+    converts it to Python floats once, at its entry, so the state and the
+    log rows hold only ``float``; a numpy scalar let in there would carry
+    into every later step and slow each of its operations several times.
     """
 
     method = "safedmp"
@@ -402,6 +408,8 @@ class SafeDmpEngine:
         self._v = [0.0] * model.d
         self._ec = [0.0] * model.d
         self._x_safe_prev = [float(v) for v in model.x0]
+        # the last measured position as control converted it; step logs it
+        self._x_measured = [float(v) for v in model.x0]
         # push direction for a point at a sphere center: the last projected
         # motion of the safe point, or +z before any
         self._fallback = [0.0] * model.d
@@ -421,17 +429,21 @@ class SafeDmpEngine:
             acc += diff * diff
         return math.sqrt(acc)
 
-    def control(self, x_measured: np.ndarray, t: float) -> tuple:
+    def control(self, x_measured: Sequence[float], t: float) -> tuple:
         """One control computation; advances the internal state.
 
-        Returns ``(x_desired, x_nominal, x_target, x_safe, u)`` where
-        ``x_nominal`` is the internal primitive position at the time of the
-        measurement.  Per-dimension arithmetic runs on plain floats (the
-        vectors are tiny and call overhead would dominate); the primitive
-        advances by the nominal integrator's own :func:`dmp.attractor_step`
-        and :func:`dmp.forcing_at`, so the results are bit-identical to a
-        pure rollout when the tube term is zero.
+        ``x_measured`` is any sequence of d floats (an ndarray, a list); it
+        is converted to a list of Python floats once, here.  Returns
+        ``(x_desired, x_nominal, x_target, x_safe, u)`` as float lists,
+        where ``x_nominal`` is the internal primitive position at the time
+        of the measurement.  Per-dimension arithmetic runs on plain floats
+        (the vectors are tiny and call overhead would dominate); the
+        primitive advances by the nominal integrator's own
+        :func:`dmp.attractor_step` and :func:`dmp.forcing_at`, so the
+        results are bit-identical to a pure rollout when the tube term is
+        zero.
         """
+        x_measured = self._x_measured = np.asarray(x_measured, dtype=float).tolist()
         model = self.model
         dt = self.dt
 
@@ -478,13 +490,17 @@ class SafeDmpEngine:
         if norm > 1e-12:
             self._fallback = [m / norm for m in motion]
 
-    def step(self, x_measured, t: float) -> np.ndarray:
-        """Timed control computation plus one log row; returns the command."""
+    def step(self, x_measured: Sequence[float], t: float) -> np.ndarray:
+        """Timed control computation plus one log row; returns the command.
+
+        The row logs the measurement as :meth:`control` converted it.
+        """
         start = time.perf_counter()
         x_desired, x_nominal, _, x_safe, _ = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
         self.rows.append(
-            (t, *x_nominal, *x_safe, *x_desired, *x_measured, self.tau, self.z)
+            (t, *x_nominal, *x_safe, *x_desired, *self._x_measured,
+             self.tau, self.z)
         )
         return np.asarray(x_desired)
 

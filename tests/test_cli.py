@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import pathlib
@@ -108,6 +110,30 @@ class TestRun:
         )
         log = bench.run_scenario(prepared)
         assert np.array_equal(cli.read_log_csv(tmp_path / "pert_log.csv"), log.rows)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_log_writer_matches_csv_module_on_edge_values(self, order, tmp_path):
+        edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                sys.float_info.max, 0.1, -0.1]
+        rows = np.array([
+            [float(k)] + [edge[(k + j) % len(edge)] for j in range(7)]
+            for k in range(12)
+        ] + [[0.1] * 8], order=order)
+        assert rows.flags.f_contiguous == (order == "F")
+        log = safe_exec.ExecutionLog(
+            rows=rows, converged=True, safety_infeasible=False, dt=0.005,
+            goal=np.zeros(1), wall_time_mean=0.0, wall_time_p99=0.0,
+        )
+        path = tmp_path / "edge_log.csv"
+        cli.write_log_csv(log, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(safe_exec.log_columns(1))
+        writer.writerows(rows.tolist())
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        back = cli.read_log_csv(path)
+        assert back.shape == rows.shape
+        assert np.array_equal(back.view(np.int64), np.ascontiguousarray(rows).view(np.int64))
 
     @pytest.mark.parametrize("text", [
         "",

@@ -282,6 +282,44 @@ class TestEngineSafety:
             assert np.all(dist >= clearance - 1e-9)
 
 
+def assert_plain_float_state(engine):
+    """The engine state holds Python floats, no numpy scalars."""
+    values = [engine.tau, engine.z, *engine._x, *engine._v, *engine._ec]
+    assert all(type(v) is float for v in values)
+
+
+class TestFloatPath:
+    """The measurement is converted once per step, so the float path holds."""
+
+    @pytest.mark.parametrize("plant", [
+        safe_exec.IdealPlant(),
+        safe_exec.FirstOrderLagPlant(tau_plant=0.05, dt=0.005),
+    ], ids=["ideal", "first_order_lag"])
+    def test_run_keeps_state_and_rows_float(
+        self, plant, sshape_model, sshape_nominal, standard_impulses
+    ):
+        obs = bench.random_static_blocker(
+            sshape_nominal.trajectory, np.random.default_rng(0)
+        )
+        engine = safe_exec.SafeDmpEngine(sshape_model, obstacles=[obs], dt=0.005)
+        log = safe_exec.run(
+            engine, plant=plant, perturbations=standard_impulses[:1]
+        )
+        assert log.converged and np.any(log.x_safe != log.x_nominal)
+        assert_plain_float_state(engine)
+        assert all(type(v) is float for row in engine.rows for v in row)
+
+    def test_direct_control_from_ndarray_keeps_state_float(self, sshape_model):
+        engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
+        x_measured = engine.initial_position()
+        for k in range(50):
+            assert isinstance(x_measured, np.ndarray)
+            x_desired = engine.control(x_measured, k * engine.dt)[0]
+            x_measured = np.asarray(x_desired) + 1e-4
+        assert not engine.rows
+        assert_plain_float_state(engine)
+
+
 class TestAdaptiveTiming:
     def test_tau_rises_and_recovers(self, sshape_model, sshape_nominal,
                                     standard_impulses):
