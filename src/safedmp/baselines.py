@@ -72,7 +72,7 @@ def apf_force(
 ) -> np.ndarray:
     """Summed repulsive acceleration from every active obstacle in range."""
     x = np.asarray(x, dtype=float)
-    force = np.zeros_like(x)
+    force = np.zeros(len(x))
     clamp = max_force if max_force is not None else params.max_force
     for obs in obstacles:
         if not obs.active(t):
@@ -155,7 +155,7 @@ class ApfEngine:
             state.x, self.obstacles, t, self.params,
             delta_gamma=self.delta_gamma, max_force=self._max_force,
         )
-        f_total = f_ext + f_apf * state.tau**2
+        f_total = np.add(f_ext, f_apf * state.tau**2)
         accel = dmp.transformation_accel(model, state, f_total)
         state.z = dmp.phase_step(state.z, state.tau, self.dt, model.alpha_z)
         dmp.integrate_step(state, accel, self.dt)

@@ -125,10 +125,10 @@ class DmpModel:
         return 2.0 * self.alpha
 
     @cached_property
-    def amplitude(self) -> np.ndarray:
-        """Goal-to-start offset ``g - x0``; computed once, the forcing term
-        reads it on every step."""
-        return self.g - self.x0
+    def amplitude(self) -> tuple:
+        """Goal-to-start offset ``g - x0`` as floats; computed once, the
+        forcing term reads it on every step."""
+        return tuple((self.g - self.x0).tolist())
 
     @cached_property
     def neg_widths(self) -> np.ndarray:
@@ -141,9 +141,9 @@ class DmpModel:
         """Phase-grid forcing tables of :func:`forcing_at`, keyed by ``dt``.
 
         Each value is ``(phases, forces)``: the grid phases ``z_k`` and the
-        read-only forcing values ``f_k = forcing(model, z_k)`` computed so
-        far, with one phase more than forces (the next grid phase, NaN where
-        :func:`phase_step` would raise :class:`PhaseStepError`).  A table
+        forcing values ``f_k = forcing(model, z_k)`` computed so far (tuples
+        of floats), with one phase more than forces (the next grid phase, NaN
+        where :func:`phase_step` would raise :class:`PhaseStepError`).  A table
         that runs out doubles (see :func:`forcing_at`), so it is never longer
         than twice the longest run on its ``dt``.  A model made by
         ``dataclasses.replace`` (e.g. :func:`retarget`) starts empty.
@@ -192,53 +192,43 @@ def basis_activations(model: DmpModel, z: float) -> np.ndarray:
     return _activations(model, z)
 
 
-def _gated(model: DmpModel, z, psi: np.ndarray, total) -> np.ndarray:
-    """The forcing formula at a float phase or at each row of a phase column.
-
-    ``psi`` comes from :func:`_activations` at the same ``z``, and ``total``
-    is its sum over the basis, ``np.add.reduce(psi, axis=-1)``: a float for
-    a float phase, kept as a ``(K, 1)`` column for a column (a scalar
-    divides faster than a length-1 array).  The matvec is numpy's stacked
-    matmul over psi columns, which runs the same per-row gemv as
-    ``weights @ psi``, so a row of a batch equals the scalar call bit for bit;
-    one gemm (``psi @ weights.T``) rounds differently.  The products are
-    taken in place, as ``amplitude * (z * (W psi) / total)``.
-    """
-    f = np.matmul(model.weights, psi[..., None])[..., 0]
-    f *= z
-    f /= total
-    f *= model.amplitude
-    return f
+def _gated(w_psi, z, total, amplitude):
+    """The forcing formula ``amplitude * ((W psi * z) / total)``, given the
+    matvec ``W psi`` and the sum ``total`` of the activations at phase ``z``;
+    evaluated on floats per dimension for one phase (:func:`forcing`) and on
+    arrays for a table block (:func:`_extend_table`), same IEEE operations."""
+    return amplitude * ((w_psi * z) / total)
 
 
-def forcing(model: DmpModel, z: float) -> np.ndarray:
+def forcing(model: DmpModel, z: float) -> list:
     """Phase-gated forcing ``f_i = (g_i - x0_i) * z * (psi . w_i) / sum(psi)``."""
     # basis_activations inlined: one call less on every off-grid step
     if not 0.0 < z <= 1.0:
         raise InvalidInputError(f"phase must lie in (0, 1], got {z}")
     psi = _activations(model, z)
-    total = np.add.reduce(psi, axis=-1)
+    total = float(np.add.reduce(psi))
     if total < 1e-300:
         raise DegeneratePhaseError(f"basis does not cover phase z={z}")
-    return _gated(model, z, psi, total)
+    w_psi = (model.weights @ psi).tolist()
+    return [_gated(w, z, total, a) for w, a in zip(w_psi, model.amplitude)]
 
 
 def forcing_at(
     model: DmpModel, dt: float, k: int, z: float, max_steps: int | None = None
-) -> np.ndarray:
+) -> tuple | list:
     """``forcing(model, z)`` for step k of a run with time step ``dt``.
 
     Every run at the constant nominal time scale steps through the same
     phase grid ``z_0 = 1``, ``z_{k+1} = phase_step(z_k, tau_nominal, dt,
     alpha_z)``, so ``f_k = forcing(model, z_k)`` is computed once per model
-    and ``dt`` and stored read-only in ``model.forcing_tables[dt]``.  The
-    stored value is returned only when ``z == z_k`` exactly (the same
-    function of the same input); any other phase is computed and not
-    stored.  A run that reaches the table's end on the grid appends the
-    next block in one numpy pass (:func:`_extend_table`): the table doubles,
-    but never past ``max_steps``, the caller's step cap (steps k <
-    ``max_steps``).  So a table is never longer than twice the longest run
-    on ``dt``, nor than the cap of a rollout that grew it.
+    and ``dt`` and stored in ``model.forcing_tables[dt]`` as a tuple of
+    floats, returned only when ``z == z_k`` exactly (the same function of the
+    same input); any other phase is computed (a list) and not stored.  A
+    run that reaches the table's end on the grid appends the next block in
+    one numpy pass (:func:`_extend_table`): the table doubles, but never
+    past ``max_steps``, the caller's step cap (steps k < ``max_steps``).  So
+    a table is never longer than twice the longest run on ``dt``, nor than
+    the cap of a rollout that grew it.
     """
     table = model.forcing_tables.get(dt)
     if table is None:
@@ -285,9 +275,11 @@ def _extend_table(model: DmpModel, dt: float, table, max_steps: int | None):
     total = np.add.reduce(psi, axis=-1, keepdims=True)
     bad = np.flatnonzero(~((z > 0.0) & (z <= 1.0) & (total >= 1e-300)))
     count = int(bad[0]) if bad.size else count
-    f = _gated(model, z[:count], psi[:count], total[:count])
-    f.flags.writeable = False
-    forces.extend(f)
+    # numpy's stacked matmul over psi columns runs the gemv of ``weights @ psi``
+    # per row, so a row equals forcing() bit for bit; one gemm would not
+    w_psi = np.matmul(model.weights, psi[:count, :, None])[..., 0]
+    f = _gated(w_psi, z[:count], total[:count], np.array(model.amplitude))
+    forces.extend(map(tuple, f.tolist()))
     phases.extend(grid[1 : count + 1].tolist())
 
 
@@ -436,6 +428,20 @@ def attractor_step(x, v, f, g, tau: float, dt: float, alpha: float, beta: float)
     return x_next, v_next
 
 
+def _within_goal(x, g, goal_tol: float) -> bool:
+    """``sqrt((x - g) . (x - g)) < goal_tol`` as numpy computes it.  A Python
+    sum of squares above ``(2 goal_tol)^2`` decides False first: the two sums
+    differ only by rounding, far less than that factor of 4."""
+    acc = 0.0
+    for x_i, g_i in zip(x, g):
+        diff = x_i - g_i
+        acc += diff * diff
+    if not acc <= 4.0 * goal_tol * goal_tol:
+        return False
+    diff = np.subtract(x, g)
+    return bool(math.sqrt(diff.dot(diff)) < goal_tol)
+
+
 @dataclass(frozen=True)
 class RolloutResult:
     trajectory: TimedTrajectory
@@ -467,26 +473,19 @@ def rollout(
     max_steps = max(1, int(round(horizon / dt)))
     alpha, beta, alpha_z = model.alpha, model.beta, model.alpha_z
     tau = model.tau_nominal
-    g = model.g
-    g_list = g.tolist()
+    g = model.g.tolist()
     x = model.x0.tolist()
     v = [0.0] * model.d
     z = 1.0
     positions = [x]
-    converged = False
     for k in range(max_steps):
-        if stop_at_goal:
-            diff = np.subtract(x, g)
-            if math.sqrt(diff.dot(diff)) < goal_tol:
-                converged = True
-                break
-        f = forcing_at(model, dt, k, z, max_steps).tolist()
-        x, v = attractor_step(x, v, f, g_list, tau, dt, alpha, beta)
+        if stop_at_goal and _within_goal(x, g, goal_tol):
+            break
+        f = forcing_at(model, dt, k, z, max_steps)
+        x, v = attractor_step(x, v, f, g, tau, dt, alpha, beta)
         z = phase_step(z, tau, dt, alpha_z)
         positions.append(x)
-    if not converged:
-        diff = np.subtract(x, g)
-        converged = bool(math.sqrt(diff.dot(diff)) < goal_tol)
+    converged = _within_goal(x, g, goal_tol)
     times = np.arange(len(positions)) * dt
     return RolloutResult(
         trajectory=TimedTrajectory(times, np.asarray(positions)),

@@ -323,10 +323,10 @@ def coupling_step(
 class IdealPlant:
     """Positioning plant that realizes each command exactly."""
 
-    def reset(self, x0: np.ndarray) -> None:
+    def reset(self, x0: Sequence[float]) -> None:
         pass
 
-    def track(self, x_desired: np.ndarray) -> np.ndarray:
+    def track(self, x_desired: Sequence[float]) -> Sequence[float]:
         return x_desired
 
 
@@ -334,7 +334,8 @@ class FirstOrderLagPlant:
     """Plant that moves a fixed fraction of the way to each command.
 
     Discrete first-order lag with time constant ``tau_plant``: the realized
-    position converges exponentially toward a held command.
+    position converges exponentially toward a held command.  The position
+    is a list of floats, updated per dimension as ``x + b (u - x)``.
     """
 
     def __init__(self, tau_plant: float, dt: float):
@@ -343,13 +344,14 @@ class FirstOrderLagPlant:
         self._blend = 1.0 - math.exp(-dt / tau_plant)
         self._x = None
 
-    def reset(self, x0: np.ndarray) -> None:
-        self._x = np.asarray(x0, dtype=float).copy()
+    def reset(self, x0: Sequence[float]) -> None:
+        self._x = np.asarray(x0, dtype=float).tolist()
 
-    def track(self, x_desired: np.ndarray) -> np.ndarray:
+    def track(self, x_desired: Sequence[float]) -> list:
+        """The next realized position, a new list the caller may change."""
         if self._x is None:
             raise InvalidInputError("plant must be reset before tracking")
-        self._x = self._x + self._blend * (x_desired - self._x)
+        self._x = [x + self._blend * (u - x) for x, u in zip(self._x, x_desired)]
         return self._x.copy()
 
 
@@ -368,10 +370,10 @@ class SafeDmpEngine:
     the time scale first leaves ``tau_nominal`` the phase is on the nominal
     grid and the forcing comes from the model's table (:func:`dmp.forcing_at`).
 
-    :meth:`control` accepts the measured position as any float sequence and
-    converts it to Python floats once, at its entry, so the state and the
-    log rows hold only ``float``; a numpy scalar let in there would carry
-    into every later step and slow each of its operations several times.
+    :func:`run` hands :meth:`control` float lists, and :meth:`control`
+    converts any float sequence to Python floats once, at its entry, so the
+    state and the log rows hold only ``float``: a numpy scalar let in there
+    would slow each later operation of the step several times.
     """
 
     method = "safedmp"
@@ -436,19 +438,14 @@ class SafeDmpEngine:
         is converted to a list of Python floats once, here.  Returns
         ``(x_desired, x_nominal, x_target, x_safe, u)`` as float lists,
         where ``x_nominal`` is the internal primitive position at the time
-        of the measurement.  Per-dimension arithmetic runs on plain floats
-        (the vectors are tiny and call overhead would dominate); the
-        primitive advances by the nominal integrator's own
-        :func:`dmp.attractor_step` and :func:`dmp.forcing_at`, so the
-        results are bit-identical to a pure rollout when the tube term is
-        zero.
+        of the measurement.
         """
-        x_measured = self._x_measured = np.asarray(x_measured, dtype=float).tolist()
+        x_measured = self._x_measured = list(map(float, x_measured))
         model = self.model
         dt = self.dt
 
         # primitive prediction (the nominal integrator's step)
-        f = dmp.forcing_at(model, dt, self._k, self.z).tolist()
+        f = dmp.forcing_at(model, dt, self._k, self.z)
         self._k += 1
         alpha, beta, alpha_z = self._gains
         x = self._x
@@ -490,8 +487,9 @@ class SafeDmpEngine:
         if norm > 1e-12:
             self._fallback = [m / norm for m in motion]
 
-    def step(self, x_measured: Sequence[float], t: float) -> np.ndarray:
-        """Timed control computation plus one log row; returns the command.
+    def step(self, x_measured: Sequence[float], t: float) -> list:
+        """Timed control computation plus one log row; returns the command,
+        the float list of :meth:`control`.
 
         The row logs the measurement as :meth:`control` converted it.
         """
@@ -502,7 +500,7 @@ class SafeDmpEngine:
             (t, *x_nominal, *x_safe, *x_desired, *self._x_measured,
              self.tau, self.z)
         )
-        return np.asarray(x_desired)
+        return x_desired
 
 
 def surface_clearance(obstacles, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -547,18 +545,20 @@ def run(
     if goal_tol is None:
         goal_tol = engine.goal_tol
 
-    offsets: dict[int, np.ndarray] = {}
+    offsets: dict[int, list] = {}
+    zero = [0.0] * model.d
     for pert in perturbations:
         if np.shape(pert.offset) != (model.d,):
             raise InvalidInputError(
                 f"perturbation offset must have the model's {model.d} components"
             )
         k = int(math.ceil(pert.t_apply / dt - 1e-9))
-        offsets[k] = offsets.get(k, 0.0) + np.asarray(pert.offset, dtype=float)
+        # summed from 0.0 as the ndarray sums were: a -0.0 component adds as 0.0
+        offsets[k] = [s + float(o) for s, o in zip(offsets.get(k, zero), pert.offset)]
 
-    x_measured = engine.initial_position()
+    x_measured = np.asarray(engine.initial_position(), dtype=float).tolist()
     if 0 in offsets:
-        x_measured = x_measured + offsets[0]
+        x_measured = [x + o for x, o in zip(x_measured, offsets[0])]
     plant.reset(engine.initial_position())
 
     converged = False
@@ -571,9 +571,9 @@ def run(
             break
         x_measured = plant.track(x_desired)
         if k + 1 in offsets:
-            x_measured = x_measured + offsets[k + 1]
+            x_measured = [x + o for x, o in zip(x_measured, offsets[k + 1])]
         if engine.goal_distance() <= goal_tol:
-            diff = x_measured - model.g
+            diff = np.subtract(x_measured, model.g)
             if math.sqrt(diff.dot(diff)) <= goal_tol:
                 converged = True
                 break

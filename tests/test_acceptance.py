@@ -7,6 +7,7 @@ PASS lines, or plainly via ``pytest`` (failures surface either way).
 import math
 import pathlib
 import shutil
+import statistics
 import time
 
 import numpy as np
@@ -169,23 +170,33 @@ def _timing_prepared():
     )
 
 
+#: Alternating blocks per method in :func:`test_07_timing`.
+TIMING_BLOCKS = 10
+
+
 def test_07_timing(capsys):
     prepared = _timing_prepared()
     # the scenario itself must be live: engaged obstacles, safe convergence
     log = bench.run_scenario(prepared, "safedmp")
     assert log.converged and bench.collision_count(log) == 0
-    mean_safe, p99_safe = bench.timing_harness(
-        prepared, repetitions=10_000, method="safedmp"
-    )
-    mean_apf, _ = bench.timing_harness(
-        prepared, repetitions=10_000, method="dmp-apf"
-    )
+    # 10 000 measured steps per method in ten alternating blocks, so a burst
+    # of host load falls on both methods; equal blocks make the mean of the
+    # block means the mean over all steps
+    blocks = {"safedmp": [], "dmp-apf": []}
+    for _ in range(TIMING_BLOCKS):
+        for method, results in blocks.items():
+            results.append(bench.timing_harness(
+                prepared, repetitions=10_000 // TIMING_BLOCKS, method=method
+            ))
+    mean_safe = statistics.fmean(mean for mean, _ in blocks["safedmp"])
+    mean_apf = statistics.fmean(mean for mean, _ in blocks["dmp-apf"])
+    p99_safe = statistics.median(p99 for _, p99 in blocks["safedmp"])
     assert mean_safe < 1e-3
     assert mean_safe < mean_apf
     report(7, "timing",
-           f"safedmp mean {mean_safe * 1e6:.1f} us (p99 {p99_safe * 1e6:.1f} us) "
-           f"< 1 ms and < dmp-apf mean {mean_apf * 1e6:.1f} us, "
-           f"5 obstacles active")
+           f"safedmp mean {mean_safe * 1e6:.1f} us (median block p99 "
+           f"{p99_safe * 1e6:.1f} us) < 1 ms and < dmp-apf mean "
+           f"{mean_apf * 1e6:.1f} us, 5 obstacles active")
 
 
 def test_08_baseline_failure_demonstration(straight_line_model):

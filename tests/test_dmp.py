@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safedmp import bench, dmp, safe_exec
@@ -342,6 +342,71 @@ class TestRollout:
             dmp.rollout(zero_weight_model(d=1), 0.005, horizon=horizon)
 
 
+def is_float_row(f, d):
+    """A stored table entry: an immutable tuple of d Python floats."""
+    return type(f) is tuple and len(f) == d and all(type(v) is float for v in f)
+
+
+#: Tolerances where the screen's threshold ``(2 tol)^2`` or ``tol^2`` is
+#: subnormal, underflows to 0 or overflows to inf.
+EDGE_TOLERANCES = [1e-300, 1e-162, 2.3e-162, 3.2e-162, 1e-154, 1.5e-154, 1e200]
+
+
+@st.composite
+def goal_screen_cases(draw):
+    """``(x, g, tol)`` with ``x - g`` near the tolerance, subnormal, huge
+    (its squares overflow to inf), with a NaN component, or arbitrary."""
+    d = draw(st.integers(1, 7))
+    tol = draw(st.one_of(st.floats(1e-300, 1e3), st.sampled_from(EDGE_TOLERANCES)))
+    g = draw(st.one_of(
+        st.just([0.0] * d),
+        st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d),
+    ))
+    kind = draw(st.sampled_from(["near", "subnormal", "huge", "nan", "any"]))
+    if kind == "near":
+        direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+        norm = math.sqrt(sum(v * v for v in direction)) or 1.0
+        direction = direction if any(direction) else [1.0] + [0.0] * (d - 1)
+        scale = draw(st.one_of(st.just(1.0), st.floats(0.5, 3.0)))
+        diff = [v / norm * (scale * tol) for v in direction]
+    elif kind == "subnormal":
+        diff = draw(st.lists(
+            st.floats(-2.3e-308, 2.3e-308), min_size=d, max_size=d))
+    elif kind == "huge":
+        magnitude = st.floats(1e154, 1.7e308)
+        diff = [
+            draw(magnitude) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(d)
+        ]
+    elif kind == "nan":
+        diff = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+        diff[draw(st.integers(0, d - 1))] = math.nan
+    else:
+        diff = draw(st.lists(
+            st.floats(allow_nan=False), min_size=d, max_size=d))
+    return [g_i + v for g_i, v in zip(g, diff)], g, tol
+
+
+class TestGoalScreen:
+    """The rollout's goal test screens with a Python sum of squares."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(goal_screen_cases())
+    # norm exactly tol, where the Python sum of squares exceeds tol^2 by one
+    # rounding but numpy's dot does not: a screen at tol^2 would say False
+    @example(([-0.932158542083182, -1.0789223323024337, -0.13267350846900128,
+               -1.073982123854555, 0.31050116002270167, 0.43500927398523714],
+              [0.0] * 6, 1.8680676775097813))
+    @example(([-1.4848707014504097, 19.222735856455497, -16.255620580655286,
+               -11.612230842000997, -8.719300139335266, -4.046408418698682],
+              [0.0] * 6, 29.38038693427907))
+    def test_screen_never_changes_the_decision(self, case):
+        x, g, tol = case
+        with np.errstate(all="ignore"):
+            diff = np.subtract(x, g)
+            expected = math.sqrt(diff.dot(diff)) < tol
+            assert dmp._within_goal(x, g, tol) == expected
+
+
 class TestForcingTable:
     """The phase-grid forcing table behind :func:`dmp.forcing_at`."""
 
@@ -361,8 +426,8 @@ class TestForcingTable:
         m = random_model(seed=5, d=3)
         dmp.rollout(m, 0.005, horizon=0.5, stop_at_goal=False)
         _, forces = m.forcing_tables[0.005]
-        assert forces and not any(f.flags.writeable for f in forces)
-        with pytest.raises(ValueError):
+        assert forces and all(is_float_row(f, 3) for f in forces)
+        with pytest.raises(TypeError):
             forces[0][0] = 1.0
 
     @pytest.mark.parametrize("horizon", [0.05, 0.5, 20.0])
@@ -507,7 +572,7 @@ class TestForcingTableProperty:
         z = 1.0
         for k, f in enumerate(forces):
             assert phases[k] == z
-            assert not f.flags.writeable
+            assert is_float_row(f, m.d)
             assert np.array_equal(f, dmp.forcing(m, z))
             z = dmp.phase_step(z, m.tau_nominal, dt, m.alpha_z)
         assert phases[-1] == z

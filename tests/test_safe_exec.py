@@ -309,6 +309,66 @@ class TestFloatPath:
         assert_plain_float_state(engine)
         assert all(type(v) is float for row in engine.rows for v in row)
 
+    @pytest.mark.parametrize("plant", [
+        safe_exec.IdealPlant(),
+        safe_exec.FirstOrderLagPlant(tau_plant=0.05, dt=0.005),
+    ], ids=["ideal", "first_order_lag"])
+    def test_run_hands_control_float_lists(
+        self, plant, sshape_model, sshape_nominal, standard_impulses
+    ):
+        obs = bench.random_static_blocker(
+            sshape_nominal.trajectory, np.random.default_rng(0)
+        )
+        engine = safe_exec.SafeDmpEngine(sshape_model, obstacles=[obs], dt=0.005)
+        control = engine.control
+        seen = []
+
+        def recording_control(x_measured, t):
+            seen.append(x_measured)
+            return control(x_measured, t)
+
+        engine.control = recording_control
+        kick_at_start = bench.Perturbation(t_apply=0.0, offset=[0.0, 0.01, 0.0])
+        log = safe_exec.run(
+            engine, plant=plant,
+            perturbations=[kick_at_start, *standard_impulses],
+        )
+        assert log.converged and len(seen) == log.steps
+        assert all(
+            type(x) is list and all(type(v) is float for v in x) for x in seen
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-4, 10.0), st.floats(1e-4, 0.1),
+        st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_lag_plant_matches_ndarray_expression(self, tau_plant, dt, steps):
+        plant = safe_exec.FirstOrderLagPlant(tau_plant, dt)
+        blend = 1.0 - math.exp(-dt / tau_plant)
+        x0 = np.array([steps[0][0], -steps[0][0], 0.5])
+        plant.reset(x0)
+        x = x0.copy()
+        for a, b in steps:
+            u = np.array([b, a, b - a])
+            x = x + blend * (u - x)
+            got = plant.track(u.tolist())
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array_equal(np.array(got).view(np.int64), x.view(np.int64))
+
+    def test_changing_a_returned_position_leaves_the_plant(self):
+        plant = safe_exec.FirstOrderLagPlant(tau_plant=0.05, dt=0.005)
+        twin = safe_exec.FirstOrderLagPlant(tau_plant=0.05, dt=0.005)
+        for p in (plant, twin):
+            p.reset([0.0, 0.0])
+        returned = plant.track([1.0, 2.0])
+        assert returned == twin.track([1.0, 2.0])
+        returned[:] = [50.0, 60.0]
+        assert plant.track([1.0, 2.0]) == twin.track([1.0, 2.0])
+
     def test_direct_control_from_ndarray_keeps_state_float(self, sshape_model):
         engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
         x_measured = engine.initial_position()
