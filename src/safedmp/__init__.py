@@ -21,7 +21,6 @@ from .bench import (
 )
 from .dmp import (
     DmpModel,
-    DmpState,
     learn_from_trajectory,
     learn_weights,
     load_model,
@@ -58,7 +57,7 @@ __all__ = [
     "MetricsReport", "Perturbation", "Scenario", "compare",
     "convergence_time_oa", "convergence_time_perturb", "mae", "prepare",
     "run_scenario", "timing_harness",
-    "DmpModel", "DmpState", "learn_from_trajectory", "learn_weights",
+    "DmpModel", "learn_from_trajectory", "learn_weights",
     "load_model", "retarget", "rollout", "save_model",
     "ExecutionLog", "FirstOrderLagPlant", "IdealPlant", "Obstacle",
     "SafeDmpEngine", "SafetyParams", "run",

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dmp
 from .errors import InvalidInputError
-from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT
+from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT, check_engine_args
 from .trajectory import TimedTrajectory
 
 DEFAULT_ETA = 0.01
@@ -101,6 +102,12 @@ class ApfEngine:
     The measured position handed to :meth:`step` is adopted as the current
     state (so impulses displace the integration directly); with eta
     effectively zero the run reproduces the nominal rollout bit for bit.
+
+    The state is plain floats, like :class:`~.safe_exec.SafeDmpEngine`'s:
+    :meth:`control` converts the measurement once, adds the repulsion of
+    :func:`apf_force` to the forcing row from :func:`dmp.forcing_at` and
+    advances the primitive with :func:`dmp.attractor_step`, the rollout's own
+    step.  The time scale stays ``tau_nominal``.
     """
 
     method = "dmp-apf"
@@ -115,19 +122,13 @@ class ApfEngine:
         delta_gamma: float = DEFAULT_DELTA_GAMMA,
         nominal_reference: TimedTrajectory | None = None,
     ):
-        if not 0.0 < dt < math.inf:
-            raise InvalidInputError("dt must be positive and finite")
+        self.obstacles = tuple(obstacles)
+        check_engine_args(model, self.obstacles, dt)
         self.model = model
         self.params = params if params is not None else ApfParams()
-        self.obstacles = tuple(obstacles)
-        if any(obs.d != model.d for obs in self.obstacles):
-            raise InvalidInputError(
-                f"obstacle dimension must match the model's d={model.d}"
-            )
         self.dt = dt
         self.goal_tol = goal_tol
         self.delta_gamma = delta_gamma
-        self.state = dmp.initial_state(model)
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
         self._k = 0  # control steps taken: the index into the forcing table
@@ -138,48 +139,67 @@ class ApfEngine:
         )
         self._nominal = nominal_reference
 
+        # the primitive's state as plain floats: phase, time scale (constant),
+        # position and velocity
+        self.z = 1.0
+        self.tau = model.tau_nominal
+        self._x = model.x0.tolist()
+        # the last measured position as control converted it; step logs it
+        self._x_measured = self._x
+        self._v = [0.0] * model.d
+        self._g = model.g.tolist()
+
     def initial_position(self) -> np.ndarray:
         return self.model.x0.copy()
 
     def goal_distance(self) -> float:
-        diff = self.state.x - self.model.g
+        diff = np.subtract(self._x, self.model.g)
         return math.sqrt(diff.dot(diff))
 
-    def control(self, x_measured: np.ndarray, t: float) -> np.ndarray:
+    def control(self, x_measured: Sequence[float], t: float) -> list:
+        """One control computation; advances the internal state.
+
+        ``x_measured`` is any sequence of d floats, adopted as the current
+        position; returns the next command as a float list.
+        """
         model = self.model
-        state = self.state
-        state.x = np.asarray(x_measured, dtype=float)
-        f_ext = dmp.forcing_at(model, self.dt, self._k, state.z)
+        dt = self.dt
+        tau = self.tau
+        x = self._x_measured = list(map(float, x_measured))
+        f_ext = dmp.forcing_at(model, dt, self._k, self.z)
         self._k += 1
         f_apf = apf_force(
-            state.x, self.obstacles, t, self.params,
+            x, self.obstacles, t, self.params,
             delta_gamma=self.delta_gamma, max_force=self._max_force,
+        ).tolist()
+        tau2 = tau**2
+        f_total = [f_e + f_a * tau2 for f_e, f_a in zip(f_ext, f_apf)]
+        self.z = dmp.phase_step(self.z, tau, dt, model.alpha_z)
+        self._x, self._v = dmp.attractor_step(
+            x, self._v, f_total, self._g, tau, dt, model.alpha, model.beta
         )
-        f_total = np.add(f_ext, f_apf * state.tau**2)
-        accel = dmp.transformation_accel(model, state, f_total)
-        state.z = dmp.phase_step(state.z, state.tau, self.dt, model.alpha_z)
-        dmp.integrate_step(state, accel, self.dt)
-        return state.x
+        return self._x
 
-    def step(self, x_measured: np.ndarray, t: float) -> np.ndarray:
-        """Timed control computation plus one log row; returns the command.
+    def step(self, x_measured: Sequence[float], t: float) -> list:
+        """Timed control computation plus one log row; returns the command,
+        the float list of :meth:`control`.
 
         The method has no projection, so the logged safe position is the
-        command itself.
+        command itself; the row logs the measurement as :meth:`control`
+        converted it.
         """
-        x_measured = np.asarray(x_measured, dtype=float)
         start = time.perf_counter()
         x_next = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
+        x_measured = self._x_measured
         if self._nominal is not None:
             points = self._nominal.points
-            x_nominal = points[min(len(self.rows), points.shape[0] - 1)]
+            x_nominal = points[min(len(self.rows), points.shape[0] - 1)].tolist()
         else:
             x_nominal = x_measured
-        x_next_row = x_next.tolist()
-        self.rows.append((
-            t, *x_nominal.tolist(), *x_next_row, *x_next_row, *x_measured.tolist(),
-            self.state.tau, self.state.z))
+        self.rows.append(
+            (t, *x_nominal, *x_next, *x_next, *x_measured, self.tau, self.z)
+        )
         return x_next
 
 

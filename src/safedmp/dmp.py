@@ -151,27 +151,6 @@ class DmpModel:
         return {}
 
 
-@dataclass
-class DmpState:
-    """Mutable integration state; owned by a single engine instance."""
-
-    x: np.ndarray
-    v: np.ndarray
-    z: float
-    e_couple: np.ndarray
-    tau: float
-
-
-def initial_state(model: DmpModel) -> DmpState:
-    return DmpState(
-        x=model.x0.copy(),
-        v=np.zeros(model.d),
-        z=1.0,
-        e_couple=np.zeros(model.d),
-        tau=model.tau_nominal,
-    )
-
-
 def _activations(model: DmpModel, z):
     """``exp(-h_j (z - c_j)^2)`` at a float phase, shape (n,), or at each row
     of a ``(K, 1)`` column of phases, shape (K, n); the phase is not checked.
@@ -390,31 +369,13 @@ def phase_step(z: float, tau: float, dt: float, alpha_z: float) -> float:
     return z * (1.0 - ratio)
 
 
-def transformation_accel(
-    model: DmpModel, state: DmpState, f_total: np.ndarray
-) -> np.ndarray:
-    """Attractor acceleration ``(alpha (beta (g - x) - tau v) + f) / tau^2``."""
-    tau = state.tau
-    return (
-        model.alpha * (model.beta * (model.g - state.x) - tau * state.v) + f_total
-    ) / tau**2
-
-
-def integrate_step(state: DmpState, accel: np.ndarray, dt: float) -> DmpState:
-    """Advance position with its second-order Taylor term, then velocity."""
-    if not 0.0 < dt < math.inf:
-        raise InvalidInputError("dt must be positive and finite")
-    state.x = state.x + state.v * dt + 0.5 * accel * dt**2
-    state.v = state.v + accel * dt
-    return state
-
-
 def attractor_step(x, v, f, g, tau: float, dt: float, alpha: float, beta: float):
-    """:func:`transformation_accel` plus :func:`integrate_step` on plain floats.
+    """One step of the transformation system on plain floats.
 
-    Per dimension, ``a = (alpha (beta (g - x) - tau v) + f) / tau^2``,
-    ``x' = x + v dt + (a/2) dt^2`` and ``v' = v + a dt``, with the array
-    routines' expressions term by term, so both give the same bits.  Returns
+    Per dimension, the attractor acceleration
+    ``a = (alpha (beta (g - x) - tau v) + f) / tau^2``, then position with its
+    second-order Taylor term, ``x' = x + v dt + (a/2) dt^2``, then velocity,
+    ``v' = v + a dt``.  The rollout and both engines step with it.  Returns
     the lists ``(x', v')``.
     """
     tau2 = tau**2

@@ -355,6 +355,17 @@ class FirstOrderLagPlant:
         return self._x.copy()
 
 
+def check_engine_args(model: dmp.DmpModel, obstacles, dt: float) -> None:
+    """The arguments both engines share: a positive finite step and
+    obstacles of the model's dimension."""
+    if not 0.0 < dt < math.inf:
+        raise InvalidInputError("dt must be positive and finite")
+    if any(obs.d != model.d for obs in obstacles):
+        raise InvalidInputError(
+            f"obstacle dimension must match the model's d={model.d}"
+        )
+
+
 class SafeDmpEngine:
     """One scenario's closed-loop controller; owns its state and log.
 
@@ -386,15 +397,10 @@ class SafeDmpEngine:
         dt: float = DEFAULT_DT,
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
     ):
-        if not 0.0 < dt < math.inf:
-            raise InvalidInputError("dt must be positive and finite")
+        self.obstacles = tuple(obstacles)
+        check_engine_args(model, self.obstacles, dt)
         self.model = model
         self.safety = safety if safety is not None else SafetyParams()
-        self.obstacles = tuple(obstacles)
-        if any(obs.d != model.d for obs in self.obstacles):
-            raise InvalidInputError(
-                f"obstacle dimension must match the model's d={model.d}"
-            )
         self.dt = dt
         self.goal_tol = goal_tol
         self.rows: list[tuple] = []

@@ -179,13 +179,6 @@ def low_pass(traj: TimedTrajectory, cutoff_hz: float) -> TimedTrajectory:
     return TimedTrajectory(traj.times, smoothed)
 
 
-def low_pass_response(cutoff_hz: float, fs: float, freq_hz: float) -> float:
-    """Two-pass magnitude response of :func:`low_pass` at ``freq_hz``."""
-    b, a, _ = _critically_damped_coeffs(cutoff_hz, fs)
-    _, h = signal.freqz(b, a, worN=[2.0 * math.pi * freq_hz / fs])
-    return float(np.abs(h[0]) ** 2)
-
-
 def lift_to_3d(traj: TimedTrajectory, z_height: float) -> TimedTrajectory:
     """Append a constant third coordinate to a planar trajectory."""
     if traj.d != 2:
@@ -272,18 +265,6 @@ def read_demo_csv(path) -> TimedTrajectory:
     if len(times) < 2:
         raise InsufficientDataError("demonstration needs at least 2 samples")
     return TimedTrajectory(np.asarray(times), np.asarray(points))
-
-
-def write_demo_csv(traj: TimedTrajectory, path) -> None:
-    """Write a demonstration in the CSV format accepted by :func:`read_demo_csv`."""
-    if traj.d not in (2, 3):
-        raise DimensionError("demonstration CSV supports d=2 or d=3")
-    header = ["t", "x", "y"] + (["z"] if traj.d == 3 else [])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, p in zip(traj.times, traj.points):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in p])
 
 
 # --- synthetic demonstrations -------------------------------------------------

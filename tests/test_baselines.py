@@ -155,3 +155,31 @@ class TestApfRun:
             log, sshape_nominal.trajectory, standard_impulses
         )
         assert np.isfinite(conv) and conv > 0.0
+
+
+class TestFloatPath:
+    """The measurement is converted once per step, so the float path holds."""
+
+    @pytest.mark.parametrize("plant", [
+        safe_exec.IdealPlant(),
+        safe_exec.FirstOrderLagPlant(tau_plant=0.05, dt=0.005),
+    ], ids=["ideal", "first_order_lag"])
+    def test_run_keeps_state_and_rows_float(
+        self, plant, sshape_model, sshape_nominal, standard_impulses
+    ):
+        obs = bench.random_static_blocker(
+            sshape_nominal.trajectory, np.random.default_rng(0)
+        )
+        engine = baselines.ApfEngine(
+            sshape_model, obstacles=[obs], dt=0.005,
+            nominal_reference=sshape_nominal.trajectory,
+        )
+        log = safe_exec.run(
+            engine, plant=plant, perturbations=standard_impulses[:1]
+        )
+        # the repulsion acted: the run left the obstacle-free rollout
+        n = min(log.steps, sshape_nominal.trajectory.n)
+        assert np.any(log.x_measured[:n] != sshape_nominal.trajectory.points[:n])
+        values = [engine.tau, engine.z, *engine._x, *engine._v]
+        assert all(type(v) is float for v in values)
+        assert all(type(v) is float for row in engine.rows for v in row)

@@ -1,7 +1,9 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from safedmp import trajectory as tj
 from safedmp.errors import (
@@ -14,6 +16,23 @@ from safedmp.errors import (
 
 def make_traj(times, points):
     return tj.TimedTrajectory(np.asarray(times), np.asarray(points))
+
+
+def low_pass_response(cutoff_hz: float, fs: float, freq_hz: float) -> float:
+    """Two-pass magnitude response of :func:`tj.low_pass` at ``freq_hz``."""
+    b, a, _ = tj._critically_damped_coeffs(cutoff_hz, fs)
+    _, h = signal.freqz(b, a, worN=[2.0 * math.pi * freq_hz / fs])
+    return float(np.abs(h[0]) ** 2)
+
+
+def write_demo_csv(traj: tj.TimedTrajectory, path) -> None:
+    """Write a demonstration in the CSV format :func:`tj.read_demo_csv` reads."""
+    header = ["t", "x", "y"] + (["z"] if traj.d == 3 else [])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, p in zip(traj.times, traj.points):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in p])
 
 
 class TestTimedTrajectory:
@@ -120,7 +139,7 @@ class TestLowPass:
         traj = self.sine_traj(5.0)
         out = tj.low_pass(traj, 5.0)
         amp = self.fitted_amplitude(out, 5.0)
-        predicted = tj.low_pass_response(5.0, self.fs, 5.0)
+        predicted = low_pass_response(5.0, self.fs, 5.0)
         assert abs(amp - 0.5) < 0.05  # two -3 dB passes
         assert amp == pytest.approx(predicted, abs=0.01)
 
@@ -255,7 +274,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         demo = tj.stroke_2d_demo(n=31)
         path = tmp_path / "demo.csv"
-        tj.write_demo_csv(demo, path)
+        write_demo_csv(demo, path)
         back = tj.read_demo_csv(path)
         np.testing.assert_array_equal(back.times, demo.times)
         np.testing.assert_array_equal(back.points, demo.points)
