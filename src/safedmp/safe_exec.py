@@ -22,6 +22,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -119,6 +120,8 @@ class SafetyParams:
             raise InvalidInputError("delta_gamma must be positive and finite")
         if not 0.0 < self.gain < math.inf:
             raise InvalidInputError("gain must be positive and finite")
+        if not math.isfinite(4.0 * self.gain / self.delta_gamma):
+            raise InvalidInputError("gain / delta_gamma must keep the tube law finite")
         if not 0.0 < self.clip_limit < 1.0:
             raise InvalidInputError("clip_limit must lie in (0, 1)")
 
@@ -234,7 +237,7 @@ def worst_violation(table, point, t: float):
     return gap_min, w_center, w_dist, w_clearance
 
 
-def project(table, point: list, t: float, fallback, hit=None) -> list:
+def project(table, point: list, t: float, fallback, hit=None) -> tuple[list, bool]:
     """Move ``point`` (mutated and returned) out of every clearance sphere.
 
     Each pass pushes the point radially onto the boundary of the deepest
@@ -243,16 +246,19 @@ def project(table, point: list, t: float, fallback, hit=None) -> list:
     :func:`worst_violation` of ``point`` when it already has one.  After the
     first push and d+1 re-checked passes a point still inside some sphere
     means the clearance regions overlap, which raises
-    :class:`SafetyInfeasibleError`.
+    :class:`SafetyInfeasibleError`.  Returns ``(point, centered)``, where
+    ``centered`` tells whether any pass pushed along ``fallback``.
     """
     if hit is None:
         hit = worst_violation(table, point, t)
     gap, center, dist, clearance = hit
     d = len(point)
+    centered = False
     for _ in range(d + 2):
         if not gap < 0.0:
-            return point
+            return point, centered
         if dist < 1e-12:
+            centered = True
             for i in range(d):
                 point[i] = center[i] + fallback[i] * clearance
         else:
@@ -263,7 +269,7 @@ def project(table, point: list, t: float, fallback, hit=None) -> list:
         raise SafetyInfeasibleError(
             "clearance spheres overlap; no collision-free projection found"
         )
-    return point
+    return point, centered
 
 
 def tube_correction(x_measured, center, x_target, dt: float, safety: SafetyParams):
@@ -273,11 +279,19 @@ def tube_correction(x_measured, center, x_target, dt: float, safety: SafetyParam
     clip limit, ``u = -gain * 4/(delta_gamma (1 - e^2)) * ln((1+e)/(1-e))``
     (the law of :func:`stt.stt_control`).  Returns ``(u, x_desired, shift)``
     with ``x_desired = x_target + u dt`` and ``shift = ||u dt||``.
+
+    When ``x_measured - center`` is zero in every dimension every ``e`` is
+    +-0.0 and ``ln(1) = 0``, so the law's value is returned unevaluated:
+    ``u = u_scale * 0.0`` (-0.0), a copy of ``x_target`` (adding -0.0 keeps
+    every bit for a finite ``dt >= 0``) and ``shift = 0.0``.
     """
-    half = 0.5 * safety.delta_gamma
-    clip = safety.clip_limit
     u_scale = -4.0 * safety.gain / safety.delta_gamma
     d = len(x_target)
+    # the first component alone settles a miss without building the map
+    if x_measured[0] - center[0] == 0.0 and not any(map(sub, x_measured, center)):
+        return [u_scale * 0.0] * d, list(x_target), 0.0
+    half = 0.5 * safety.delta_gamma
+    clip = safety.clip_limit
     u = [0.0] * d
     x_desired = [0.0] * d
     shift2 = 0.0
@@ -306,7 +320,13 @@ def coupling_step(
     at rate alpha_e once the deviation is gone; the time scale is
     ``tau = tau_nominal + k_c ||e'||^2`` and therefore never drops below
     nominal.  Returns ``(e', tau)``.
+
+    At rest (``e`` and ``x_measured - x_nominal`` zero in every dimension)
+    the update gives zero error and ``tau_nominal + k_c * 0.0``, so
+    ``(e_couple, tau_nominal)`` is returned as is (for finite gains).
     """
+    if not any(e_couple) and not any(map(sub, x_measured, x_nominal)):
+        return e_couple, tau_nominal
     d = len(e_couple)
     e_new = [0.0] * d
     tau_excess = 0.0
@@ -445,6 +465,10 @@ class SafeDmpEngine:
         ``(x_desired, x_nominal, x_target, x_safe, u)`` as float lists,
         where ``x_nominal`` is the internal primitive position at the time
         of the measurement.
+
+        A command equal to a projected target would repeat that projection's
+        passes, so it is a copy of ``x_safe``, unless a pass pushed along the
+        fallback direction, which ``_note_motion`` changes in between.
         """
         x_measured = self._x_measured = list(map(float, x_measured))
         model = self.model
@@ -463,7 +487,7 @@ class SafeDmpEngine:
         table = self._table
         hit = worst_violation(table, x_target, t)
         if hit[0] < 0.0:
-            x_safe = project(table, list(x_target), t, self._fallback, hit)
+            x_safe, centered = project(table, list(x_target), t, self._fallback, hit)
             self._note_motion(x_safe)
         else:
             x_safe = x_target
@@ -474,7 +498,10 @@ class SafeDmpEngine:
             x_measured, self._x_safe_prev, x_target, dt, self.safety
         )
         if hit[0] < shift:
-            x_desired = project(table, x_desired, t, self._fallback)
+            if hit[0] < 0.0 and not centered and x_desired == x_target:
+                x_desired = x_safe.copy()  # the same passes from the same point
+            else:
+                x_desired = project(table, x_desired, t, self._fallback)[0]
 
         # coupling error, time dilation, phase decay, state integration
         self._ec, self.tau = coupling_step(

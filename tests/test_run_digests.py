@@ -12,6 +12,7 @@ recorded in CHANGES.md) with::
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -20,7 +21,7 @@ import pathlib
 import sys
 import tempfile
 
-from safedmp import bench, cli
+from safedmp import bench, cli, safe_exec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "run_digests.json"
@@ -57,6 +58,34 @@ def test_run_outputs_match_stored_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert len(expected) == 43
     assert run_digests(tmp_path) == expected
+
+
+#: sha256 of ``log.rows`` of two safedmp runs under
+#: ``FirstOrderLagPlant(0.05, 0.005)``, where the tracking error is rarely
+#: zero: the canned digests all come from ideal-plant runs.
+LAG_PLANT_DIGESTS = {
+    "static_one_sshape": "c2c1842d84e94f5865a6e05fb4ab91e52e99d07f4e51e1e4dda539849bf703df",
+    "sshape_standard_impulses": "7ca07e582f48a313b4ce042a3a2897a761ef23bdf243d58ff86d495eaf6b1d5f",
+}
+
+
+def test_lag_plant_runs_match_pinned_digests(sshape_model, standard_impulses):
+    scenario = bench.load_scenario(ROOT / "scenarios" / "static_one_sshape.json")
+    scenario = dataclasses.replace(scenario, execution=dataclasses.replace(
+        scenario.execution, plant="first-order-lag"))
+    assert (scenario.execution.plant_tau, scenario.dt) == (0.05, 0.005)
+    static = bench.run_scenario(bench.prepare(scenario), "safedmp")
+    impulses = safe_exec.run(
+        safe_exec.SafeDmpEngine(sshape_model, dt=0.005),
+        plant=safe_exec.FirstOrderLagPlant(0.05, 0.005),
+        perturbations=standard_impulses,
+    )
+    digests = {
+        name: hashlib.sha256(log.rows.tobytes()).hexdigest()
+        for name, log in (("static_one_sshape", static),
+                          ("sshape_standard_impulses", impulses))
+    }
+    assert digests == LAG_PLANT_DIGESTS
 
 
 def test_generate_reproduces_scenario_files(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from safedmp.errors import InvalidInputError, SafetyInfeasibleError
 
 def project(target, obstacles, delta_gamma, t=0.0, fallback=(0.0, 0.0, 1.0)):
     table = safe_exec.obstacle_table(obstacles, delta_gamma)
-    return np.asarray(safe_exec.project(table, list(target), t, list(fallback)))
+    return np.asarray(safe_exec.project(table, list(target), t, list(fallback))[0])
 
 
 class TestObstacle:
@@ -153,6 +153,12 @@ class TestSttModulation:
             )
             np.testing.assert_allclose(u, ref, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("gain, delta_gamma", [(1e308, 0.1), (1.0, 1e-308)])
+    def test_rejects_a_tube_scale_that_overflows(self, gain, delta_gamma):
+        # a non-finite -4 gain/delta_gamma would make the law NaN at zero error
+        with pytest.raises(InvalidInputError):
+            safe_exec.SafetyParams(delta_gamma=delta_gamma, gain=gain)
+
     def test_clip_saturation_bound(self):
         params = safe_exec.SafetyParams(delta_gamma=0.1, gain=1.0)
         u, _, _ = safe_exec.tube_correction(
@@ -215,6 +221,70 @@ class TestEngineReduction:
         x_desired, _, x_target, _, u = engine.control(engine.initial_position(), 0.0)
         np.testing.assert_array_equal(u, 0.0)
         np.testing.assert_array_equal(x_desired, x_target)
+
+
+class TestExactTracking:
+    """The step's shortcuts at zero tracking error return the full law's bits."""
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    def test_tube_law_at_zero_error(self, as_array):
+        params = safe_exec.SafetyParams(delta_gamma=0.1, gain=0.7)
+        wrap = np.array if as_array else list
+        x_measured = wrap([0.0, -0.0, -0.0, 0.3, 0.0])
+        center = wrap([-0.0, 0.0, -0.0, 0.3, 0.0])
+        x_target = wrap([0.0, -0.0, 1.5, -2.0, 5e-324])
+        u, x_desired, shift = safe_exec.tube_correction(
+            x_measured, center, x_target, 0.005, params
+        )
+        assert all(u_i == 0.0 and math.copysign(1.0, u_i) == -1.0 for u_i in u)
+        assert np.asarray(x_desired).tobytes() == np.asarray(x_target).tobytes()
+        assert shift == 0.0 and math.copysign(1.0, shift) == 1.0
+
+    def test_tube_law_at_infinite_equal_inputs_stays_nan(self):
+        # inf - inf is NaN, not zero, so the law runs and gives NaN as before
+        params = safe_exec.SafetyParams()
+        u, x_desired, shift = safe_exec.tube_correction(
+            [math.inf, 0.0], [math.inf, 0.0], [0.0, 0.0], 0.005, params
+        )
+        assert math.isnan(u[0]) and math.isnan(x_desired[0]) and math.isnan(shift)
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    def test_coupling_at_rest(self, as_array):
+        wrap = np.array if as_array else list
+        tau_nominal = 1.7300000000000002
+        e, tau = safe_exec.coupling_step(
+            wrap([0.0, 0.0, 0.0]), wrap([0.1, -0.0, 0.0]), wrap([0.1, 0.0, -0.0]),
+            0.005, 2.5, 50.0, tau_nominal,
+        )
+        assert tau.hex() == tau_nominal.hex()
+        assert list(e) == [0.0, 0.0, 0.0]
+
+    def test_coupling_at_infinite_equal_positions_stays_nan(self):
+        _, tau = safe_exec.coupling_step(
+            [0.0], [math.inf], [math.inf], 0.005, 2.5, 50.0, 1.0
+        )
+        assert math.isnan(tau)
+
+    def test_command_after_a_center_push_is_projected_anew(self, sshape_model):
+        # the first target lands exactly on the obstacle's center, so the
+        # target's projection pushes along the initial fallback (+z); the
+        # command is then projected with the fallback _note_motion set
+        free = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
+        first_target = free.control(free.initial_position(), 0.0)[2]
+        obs = safe_exec.Obstacle(center0=first_target, radius=0.02)
+        engine = safe_exec.SafeDmpEngine(sshape_model, obstacles=[obs], dt=0.005)
+        x_desired, _, x_target, x_safe, _ = engine.control(
+            engine.initial_position(), 0.0
+        )
+        assert x_target == first_target
+        clearance = 0.02 + 0.05
+        assert x_safe == [*x_target[:2], x_target[2] + clearance]
+        expected, centered = safe_exec.project(
+            engine._table, list(x_target), 0.0, engine._fallback
+        )
+        assert centered
+        assert x_desired == expected
+        assert x_desired != x_safe
 
 
 class TestEngineSafety:
