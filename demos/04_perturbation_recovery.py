@@ -32,9 +32,8 @@ def main():
           f"nominal and settled back (final excess "
           f"{taus[-1] - model.tau_nominal:.1e} s)")
 
-    log_apf = baselines.dmp_apf_run(
-        model, perturbations=impulses, nominal_reference=nominal.trajectory
-    )
+    engine = baselines.ApfEngine(model, nominal.trajectory, dt=0.005)
+    log_apf = safe_exec.run(engine, perturbations=impulses)
     conv_apf = bench.convergence_time_perturb(
         log_apf, nominal.trajectory, impulses
     )

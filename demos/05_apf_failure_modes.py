@@ -27,9 +27,10 @@ def main():
     obstacle = safe_exec.Obstacle(center0=[0.3, 0.0, 0.25], radius=0.05)
     print("straight-line motion with a sphere dead on the path at x=0.3 m")
 
-    log_apf = baselines.dmp_apf_run(
-        model, obstacles=[obstacle], nominal_reference=nominal.trajectory
+    engine = baselines.ApfEngine(
+        model, nominal.trajectory, obstacles=[obstacle], dt=0.005
     )
+    log_apf = safe_exec.run(engine)
     speed = np.linalg.norm(
         np.diff(log_apf.x_measured, axis=0) / log_apf.dt, axis=1
     )

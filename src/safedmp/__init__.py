@@ -6,7 +6,7 @@ online optimization, and benchmark the result against a potential-field
 baseline.
 """
 
-from .baselines import ApfEngine, ApfParams, apf_force, dmp_apf_run
+from .baselines import ApfEngine, ApfParams, apf_force
 from .bench import (
     MetricsReport,
     Perturbation,
@@ -53,7 +53,7 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApfEngine", "ApfParams", "apf_force", "dmp_apf_run",
+    "ApfEngine", "ApfParams", "apf_force",
     "MetricsReport", "Perturbation", "Scenario", "compare",
     "convergence_time_oa", "convergence_time_perturb", "mae", "prepare",
     "run_scenario", "timing_harness",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,12 +69,10 @@ def apf_force(
     t: float,
     params: ApfParams,
     delta_gamma: float = DEFAULT_DELTA_GAMMA,
-    max_force: float | None = None,
 ) -> np.ndarray:
     """Summed repulsive acceleration from every active obstacle in range."""
     x = np.asarray(x, dtype=float)
     force = np.zeros(len(x))
-    clamp = max_force if max_force is not None else params.max_force
     for obs in obstacles:
         if not obs.active(t):
             continue
@@ -85,8 +83,8 @@ def apf_force(
         if d_surf >= d0:
             continue
         magnitude = params.eta * (1.0 / d_surf - 1.0 / d0) / d_surf**2
-        if clamp is not None:
-            magnitude = min(magnitude, clamp)
+        if params.max_force is not None:
+            magnitude = min(magnitude, params.max_force)
         if dist < 1e-12:
             direction = np.zeros_like(x)
             direction[-1] = 1.0
@@ -107,7 +105,10 @@ class ApfEngine:
     :meth:`control` converts the measurement once, adds the repulsion of
     :func:`apf_force` to the forcing row from :func:`dmp.forcing_at` and
     advances the primitive with :func:`dmp.attractor_step`, the rollout's own
-    step.  The time scale stays ``tau_nominal``.
+    step.  The time scale stays ``tau_nominal``; a ``params.max_force`` of
+    None is resolved to :func:`default_max_force` once, here.  The log's
+    ``xn_*`` columns report ``nominal_reference``: step k logs its point k,
+    or its last point once the run outlasts it.
     """
 
     method = "dmp-apf"
@@ -115,29 +116,26 @@ class ApfEngine:
     def __init__(
         self,
         model: dmp.DmpModel,
+        nominal_reference: TimedTrajectory,
         params: ApfParams | None = None,
         obstacles=(),
         dt: float = DEFAULT_DT,
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
         delta_gamma: float = DEFAULT_DELTA_GAMMA,
-        nominal_reference: TimedTrajectory | None = None,
     ):
         self.obstacles = tuple(obstacles)
         check_engine_args(model, self.obstacles, dt)
         self.model = model
         self.params = params if params is not None else ApfParams()
+        if self.params.max_force is None:
+            self.params = replace(self.params, max_force=default_max_force(model))
         self.dt = dt
         self.goal_tol = goal_tol
         self.delta_gamma = delta_gamma
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
         self._k = 0  # control steps taken: the index into the forcing table
-        self._max_force = (
-            self.params.max_force
-            if self.params.max_force is not None
-            else default_max_force(model)
-        )
-        self._nominal = nominal_reference
+        self._nominal = nominal_reference.points.tolist()
 
         # the primitive's state as plain floats: phase, time scale (constant),
         # position and velocity
@@ -169,8 +167,7 @@ class ApfEngine:
         f_ext = dmp.forcing_at(model, dt, self._k, self.z)
         self._k += 1
         f_apf = apf_force(
-            x, self.obstacles, t, self.params,
-            delta_gamma=self.delta_gamma, max_force=self._max_force,
+            x, self.obstacles, t, self.params, delta_gamma=self.delta_gamma
         ).tolist()
         tau2 = tau**2
         f_total = [f_e + f_a * tau2 for f_e, f_a in zip(f_ext, f_apf)]
@@ -191,45 +188,9 @@ class ApfEngine:
         start = time.perf_counter()
         x_next = self.control(x_measured, t)
         self.step_seconds.append(time.perf_counter() - start)
-        x_measured = self._x_measured
-        if self._nominal is not None:
-            points = self._nominal.points
-            x_nominal = points[min(len(self.rows), points.shape[0] - 1)].tolist()
-        else:
-            x_nominal = x_measured
+        x_nominal = self._nominal[min(len(self.rows), len(self._nominal) - 1)]
         self.rows.append(
-            (t, *x_nominal, *x_next, *x_next, *x_measured, self.tau, self.z)
+            (t, *x_nominal, *x_next, *x_next, *self._x_measured, self.tau, self.z)
         )
         return x_next
 
-
-def dmp_apf_run(
-    model: dmp.DmpModel,
-    obstacles=(),
-    perturbations=(),
-    params: ApfParams | None = None,
-    dt: float = DEFAULT_DT,
-    goal_tol: float = dmp.DEFAULT_GOAL_TOL,
-    max_steps: int | None = None,
-    delta_gamma: float = DEFAULT_DELTA_GAMMA,
-    nominal_reference: TimedTrajectory | None = None,
-):
-    """Convenience wrapper: build an :class:`ApfEngine` and run it."""
-    from .safe_exec import IdealPlant, run
-
-    engine = ApfEngine(
-        model,
-        params=params,
-        obstacles=obstacles,
-        dt=dt,
-        goal_tol=goal_tol,
-        delta_gamma=delta_gamma,
-        nominal_reference=nominal_reference,
-    )
-    return run(
-        engine,
-        plant=IdealPlant(),
-        perturbations=perturbations,
-        max_steps=max_steps,
-        goal_tol=goal_tol,
-    )

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import baselines, codec, dmp, safe_exec, trajectory
-from .errors import INPUT_ERRORS, InvalidInputError, UndefinedMetricError
+from .errors import (
+    INPUT_ERRORS, InvalidInputError, SafetyInfeasibleError, UndefinedMetricError,
+)
 
 SCHEMA_VERSION = 1
 
@@ -29,6 +30,8 @@ DEFAULT_PERTURBATION_MAGNITUDE = 0.05
 DEFAULT_PERTURBATION_FRACTIONS = (0.25, 0.60)
 
 METHODS = ("safedmp", "dmp-apf")
+#: Control steps :func:`timing_harness` runs before it starts measuring.
+TIMING_WARMUP = 200
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ def oscillation_flag(
     # one reversal = the onset of an opposing stretch, so a single smooth
     # turn of the path counts once however many samples it spans
     onsets = opposing & ~np.concatenate([[False], opposing[:-1]])
-    window = max(1, int(round(window_s / dt)))
+    window = dmp.step_cap(window_s, dt)
     counts = np.convolve(onsets.astype(float), np.ones(window), mode="valid")
     return bool(np.any(counts > max_reversals))
 
@@ -414,11 +417,10 @@ def _build_plant(scenario: Scenario):
 
 
 def _step_cap(prepared: PreparedScenario) -> int:
-    """Control steps a run may take: the execution horizon over dt, at least 1."""
+    """Control steps a run may take: those of the execution horizon."""
     scenario = prepared.scenario
-    return max(1, int(round(
-        scenario.execution.max_horizon_factor * prepared.model.tau_nominal / scenario.dt
-    )))
+    horizon = scenario.execution.max_horizon_factor * prepared.model.tau_nominal
+    return dmp.step_cap(horizon, scenario.dt)
 
 
 def run_scenario(
@@ -436,7 +438,6 @@ def run_scenario(
         plant=_build_plant(scenario),
         perturbations=scenario.perturbations if with_perturbations else (),
         max_steps=_step_cap(prepared),
-        goal_tol=scenario.execution.goal_tol,
     )
 
 
@@ -549,45 +550,33 @@ def timing_harness(
     prepared: PreparedScenario,
     repetitions: int = 10_000,
     method: str | None = None,
-    warmup: int = 200,
 ) -> tuple[float, float]:
-    """Wall-clock cost of the control computation alone (mean and p99).
+    """Wall-clock cost of one control step: mean and p99 over ``repetitions``.
 
-    Steps are timed against the plant with logging disabled; the engine is
-    re-created whenever its run completes so the measured regime stays
-    representative.  At least 100 measured steps are required.
+    Fresh engines run through :func:`safe_exec.run` (the scenario's plant and
+    step cap, no perturbations) until ``TIMING_WARMUP + repetitions`` steps
+    are timed, the first ``TIMING_WARMUP`` dropped.  A step's time is the
+    engine's span around ``control`` (``step_seconds``); logging is not
+    counted.  An infeasible run raises :class:`SafetyInfeasibleError`.  At
+    least 100 measured steps are required.
     """
     if repetitions < 100:
         raise InvalidInputError("timing needs at least 100 measured steps")
     scenario = prepared.scenario
-    method = method or scenario.method
-
-    def fresh():
+    total = TIMING_WARMUP + repetitions
+    seconds: list[float] = []
+    while len(seconds) < total:
         engine = build_engine(prepared, method)
-        plant = _build_plant(scenario)
-        plant.reset(engine.initial_position())
-        return engine, plant, engine.initial_position()
-
-    max_steps = _step_cap(prepared)
-    engine, plant, x_measured = fresh()
-    durations = np.empty(repetitions)
-    measured = 0
-    step_in_run = 0
-    total = warmup + repetitions
-    for i in range(total):
-        if step_in_run >= max_steps or engine.goal_distance() <= scenario.execution.goal_tol:
-            engine, plant, x_measured = fresh()
-            step_in_run = 0
-        t = step_in_run * scenario.dt
-        start = time.perf_counter()
-        result = engine.control(x_measured, t)
-        elapsed = time.perf_counter() - start
-        x_desired = result[0] if isinstance(result, tuple) else result
-        x_measured = plant.track(x_desired)
-        step_in_run += 1
-        if i >= warmup:
-            durations[measured] = elapsed
-            measured += 1
+        log = safe_exec.run(
+            engine,
+            plant=_build_plant(scenario),
+            max_steps=min(_step_cap(prepared), total - len(seconds)),
+        )
+        if log.safety_infeasible or not log.steps:
+            raise SafetyInfeasibleError(
+                f"{scenario.name!r} is infeasible at step {log.steps}")
+        seconds += engine.step_seconds
+    durations = seconds[TIMING_WARMUP:]
     return float(np.mean(durations)), float(np.percentile(durations, 99))
 
 

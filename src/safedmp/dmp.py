@@ -389,6 +389,12 @@ def attractor_step(x, v, f, g, tau: float, dt: float, alpha: float, beta: float)
     return x_next, v_next
 
 
+def step_cap(horizon: float, dt: float) -> int:
+    """Steps of ``dt`` in ``horizon`` seconds, rounded, at least 1: a run's
+    step cap, and the sample count of a time window."""
+    return max(1, int(round(horizon / dt)))
+
+
 def _within_goal(x, g, goal_tol: float) -> bool:
     """``sqrt((x - g) . (x - g)) < goal_tol`` as numpy computes it.  A Python
     sum of squares above ``(2 goal_tol)^2`` decides False first: the two sums
@@ -431,7 +437,7 @@ def rollout(
         horizon = DEFAULT_HORIZON_FACTOR * model.tau_nominal
     if not 0.0 < horizon < math.inf:
         raise InvalidInputError("horizon must be positive and finite")
-    max_steps = max(1, int(round(horizon / dt)))
+    max_steps = step_cap(horizon, dt)
     alpha, beta, alpha_z = model.alpha, model.beta, model.alpha_z
     tau = model.tau_nominal
     g = model.g.tolist()

@@ -559,11 +559,14 @@ def run(
     plant=None,
     perturbations=(),
     max_steps: int | None = None,
-    goal_tol: float | None = None,
 ) -> ExecutionLog:
     """Drive an engine against a simulated plant until the goal or a cap.
 
-    The plant realizes each command one control period later; perturbations
+    The package's one closed loop: every engine run, and every step that
+    :func:`~.bench.timing_harness` times, is one ``engine.step`` call here
+    (the engine times its ``control`` call and logs one row).  The run ends
+    once the engine and the plant are both within ``engine.goal_tol`` of the
+    goal.  The plant realizes each command one control period later; perturbations
     displace the measured position for exactly one step.  Safety
     infeasibility flags the log and stops the run instead of propagating.
     Engines log ``4d+3`` columns per step; the ``min_clearance`` column is
@@ -573,10 +576,9 @@ def run(
         plant = IdealPlant()
     dt = engine.dt
     model = engine.model
+    goal_tol = engine.goal_tol
     if max_steps is None:
-        max_steps = max(1, int(round(dmp.DEFAULT_HORIZON_FACTOR * model.tau_nominal / dt)))
-    if goal_tol is None:
-        goal_tol = engine.goal_tol
+        max_steps = dmp.step_cap(dmp.DEFAULT_HORIZON_FACTOR * model.tau_nominal, dt)
 
     offsets: dict[int, list] = {}
     zero = [0.0] * model.d

@@ -92,10 +92,8 @@ def test_04_perturbation_recovery(sshape_model, sshape_nominal, standard_impulse
     assert taus.max() > sshape_model.tau_nominal
     assert abs(taus[-1] - sshape_model.tau_nominal) < 1e-3
 
-    log_apf = baselines.dmp_apf_run(
-        sshape_model, perturbations=standard_impulses,
-        nominal_reference=sshape_nominal.trajectory,
-    )
+    engine = baselines.ApfEngine(sshape_model, sshape_nominal.trajectory, dt=0.005)
+    log_apf = safe_exec.run(engine, perturbations=standard_impulses)
     conv_apf = bench.convergence_time_perturb(
         log_apf, sshape_nominal.trajectory, standard_impulses
     )
@@ -203,10 +201,10 @@ def test_08_baseline_failure_demonstration(straight_line_model):
     obs = safe_exec.Obstacle(center0=[0.3, 0.0, 0.25], radius=0.05)
     nominal = dmp.rollout(straight_line_model, 0.005)
 
-    log_apf = baselines.dmp_apf_run(
-        straight_line_model, obstacles=[obs],
-        nominal_reference=nominal.trajectory,
+    engine = baselines.ApfEngine(
+        straight_line_model, nominal.trajectory, obstacles=[obs], dt=0.005
     )
+    log_apf = safe_exec.run(engine)
     stalled = bench.stall_detected(log_apf)
     violated = bench.collision_count(log_apf) > 0
     assert stalled or violated

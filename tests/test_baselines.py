@@ -82,21 +82,33 @@ class TestApfForce:
 
 class TestApfRun:
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
-    def test_non_finite_dt_rejected(self, sshape_model, dt):
+    def test_non_finite_dt_rejected(self, sshape_model, sshape_nominal, dt):
         with pytest.raises(InvalidInputError):
-            baselines.dmp_apf_run(sshape_model, dt=dt)
+            baselines.ApfEngine(sshape_model, sshape_nominal.trajectory, dt=dt)
 
     @pytest.mark.parametrize("engine", [baselines.ApfEngine, safe_exec.SafeDmpEngine])
-    def test_obstacle_dimension_must_match_model(self, sshape_model, engine):
+    def test_obstacle_dimension_must_match_model(self, sshape_model, sshape_nominal,
+                                                 engine):
         obstacle = safe_exec.Obstacle(center0=[0.5, 0.5], radius=0.05)
+        nominal = {"nominal_reference": sshape_nominal.trajectory}
         with pytest.raises(InvalidInputError, match="obstacle dimension"):
-            engine(sshape_model, obstacles=[obstacle])
+            engine(sshape_model, obstacles=[obstacle],
+                   **(nominal if engine is baselines.ApfEngine else {}))
+
+    def test_nominal_reference_is_required(self, sshape_model):
+        with pytest.raises(TypeError, match="nominal_reference"):
+            baselines.ApfEngine(sshape_model)
+
+    def test_default_clamp_is_resolved_once(self, sshape_model, sshape_nominal):
+        engine = baselines.ApfEngine(sshape_model, sshape_nominal.trajectory)
+        assert engine.params.max_force == baselines.default_max_force(sshape_model)
+        params = baselines.ApfParams(max_force=5.0)
+        engine = baselines.ApfEngine(sshape_model, sshape_nominal.trajectory, params)
+        assert engine.params is params
 
     def test_obstacle_free_reproduces_rollout_bitwise(self, sshape_model):
         nominal = dmp.rollout(sshape_model, 0.005)
-        log = baselines.dmp_apf_run(
-            sshape_model, nominal_reference=nominal.trajectory
-        )
+        log = safe_exec.run(baselines.ApfEngine(sshape_model, nominal.trajectory))
         assert log.converged
         n = min(log.steps, nominal.trajectory.n)
         np.testing.assert_array_equal(
@@ -108,11 +120,10 @@ class TestApfRun:
         # obstacle present but the coupling disabled: still the pure rollout
         pts = sshape_nominal.trajectory.points
         obs = safe_exec.Obstacle(center0=pts[pts.shape[0] // 2], radius=0.03)
-        log = baselines.dmp_apf_run(
-            sshape_model, obstacles=[obs],
-            params=baselines.ApfParams(eta=0.0),
-            nominal_reference=sshape_nominal.trajectory,
-        )
+        log = safe_exec.run(baselines.ApfEngine(
+            sshape_model, sshape_nominal.trajectory,
+            params=baselines.ApfParams(eta=0.0), obstacles=[obs],
+        ))
         n = min(log.steps, sshape_nominal.trajectory.n)
         np.testing.assert_array_equal(
             log.x_measured[:n], sshape_nominal.trajectory.points[:n]
@@ -122,10 +133,9 @@ class TestApfRun:
         pts = sshape_nominal.trajectory.points
         anchor = pts[pts.shape[0] // 2]
         obs = safe_exec.Obstacle(center0=anchor + [0.0, 0.04, 0.0], radius=0.03)
-        log = baselines.dmp_apf_run(
-            sshape_model, obstacles=[obs],
-            nominal_reference=sshape_nominal.trajectory,
-        )
+        log = safe_exec.run(baselines.ApfEngine(
+            sshape_model, sshape_nominal.trajectory, obstacles=[obs]
+        ))
         assert log.converged
         # the detour is visible: the executed path deviates from the nominal
         from safedmp.trajectory import TimedTrajectory
@@ -136,20 +146,17 @@ class TestApfRun:
     def test_head_on_symmetric_failure(self, straight_line_model):
         obs = safe_exec.Obstacle(center0=[0.3, 0.0, 0.25], radius=0.05)
         nominal = dmp.rollout(straight_line_model, 0.005)
-        log = baselines.dmp_apf_run(
-            straight_line_model, obstacles=[obs],
-            nominal_reference=nominal.trajectory,
-        )
+        log = safe_exec.run(baselines.ApfEngine(
+            straight_line_model, nominal.trajectory, obstacles=[obs]
+        ))
         stalled = bench.stall_detected(log)
         collided = bench.collision_count(log) > 0
         assert stalled or collided
 
     def test_perturbation_recovery_via_attractor(self, sshape_model, sshape_nominal,
                                                  standard_impulses):
-        log = baselines.dmp_apf_run(
-            sshape_model, perturbations=standard_impulses,
-            nominal_reference=sshape_nominal.trajectory,
-        )
+        engine = baselines.ApfEngine(sshape_model, sshape_nominal.trajectory)
+        log = safe_exec.run(engine, perturbations=standard_impulses)
         assert log.converged
         conv = bench.convergence_time_perturb(
             log, sshape_nominal.trajectory, standard_impulses
@@ -171,8 +178,7 @@ class TestFloatPath:
             sshape_nominal.trajectory, np.random.default_rng(0)
         )
         engine = baselines.ApfEngine(
-            sshape_model, obstacles=[obs], dt=0.005,
-            nominal_reference=sshape_nominal.trajectory,
+            sshape_model, sshape_nominal.trajectory, obstacles=[obs], dt=0.005
         )
         log = safe_exec.run(
             engine, plant=plant, perturbations=standard_impulses[:1]

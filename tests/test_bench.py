@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 from dataclasses import replace
@@ -7,7 +8,9 @@ import pytest
 
 from safedmp import bench, dmp, safe_exec
 from safedmp import trajectory as tj
-from safedmp.errors import InvalidInputError, UndefinedMetricError
+from safedmp.errors import (
+    InvalidInputError, SafetyInfeasibleError, UndefinedMetricError,
+)
 
 SCENARIO_PATHS = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")
@@ -453,14 +456,20 @@ class TestEvaluateAndCompare:
         assert safe_report.converged and safe_report.collision_count == 0
 
 
+def timing_prepared(model, obstacles=()):
+    nominal = dmp.rollout(model, 0.005)
+    scenario = bench.Scenario(
+        name="timing", demo_source="builtin:minjerk", obstacles=obstacles
+    )
+    return bench.PreparedScenario(
+        scenario=scenario, model=model, demo=nominal.trajectory,
+        nominal=nominal.trajectory, nominal_converged=True,
+    )
+
+
 class TestTimingHarness:
     def test_mean_and_stability(self, minjerk_model):
-        nominal = dmp.rollout(minjerk_model, 0.005)
-        scenario = bench.Scenario(name="timing", demo_source="builtin:minjerk")
-        prepared = bench.PreparedScenario(
-            scenario=scenario, model=minjerk_model, demo=nominal.trajectory,
-            nominal=nominal.trajectory, nominal_converged=True,
-        )
+        prepared = timing_prepared(minjerk_model)
         mean1, p99 = bench.timing_harness(prepared, repetitions=400)
         mean2, _ = bench.timing_harness(prepared, repetitions=800)
         assert 0.0 < mean1 < 1e-3
@@ -468,14 +477,24 @@ class TestTimingHarness:
         assert abs(mean2 - mean1) < 0.5 * max(mean1, mean2)
 
     def test_rejects_too_few_repetitions(self, minjerk_model):
-        nominal = dmp.rollout(minjerk_model, 0.005)
-        scenario = bench.Scenario(name="timing", demo_source="builtin:minjerk")
-        prepared = bench.PreparedScenario(
-            scenario=scenario, model=minjerk_model, demo=nominal.trajectory,
-            nominal=nominal.trajectory, nominal_converged=True,
-        )
         with pytest.raises(InvalidInputError):
-            bench.timing_harness(prepared, repetitions=10)
+            bench.timing_harness(timing_prepared(minjerk_model), repetitions=10)
+
+    def test_infeasible_scenario_raises(self, minjerk_model):
+        # 26 touching spheres box in the path's midpoint: the safedmp run
+        # cannot clear them (at step 183), so there is no step cost to report
+        pts = dmp.rollout(minjerk_model, 0.005).trajectory.points
+        mid = pts[pts.shape[0] // 2]
+        obstacles = tuple(
+            safe_exec.Obstacle(center0=mid + 0.05 * np.array(o), radius=0.05)
+            for o in itertools.product((-1, 0, 1), repeat=3) if any(o)
+        )
+        prepared = timing_prepared(minjerk_model, obstacles)
+        with pytest.raises(SafetyInfeasibleError):
+            bench.timing_harness(prepared, repetitions=400)
+        # the potential field never projects, so it still has a step cost
+        mean, _ = bench.timing_harness(prepared, repetitions=100, method="dmp-apf")
+        assert mean > 0.0
 
 
 class TestGenerators:

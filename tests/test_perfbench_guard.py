@@ -1,26 +1,29 @@
-"""The benchmark's tracer still finds and understands the engine entry points.
+"""The benchmark's tracer and workloads still find and drive the program.
 
 ``perfbench/tracing.py`` wraps targets it reads from each owner's
 ``__dict__`` and expects ``SafeDmpEngine.control`` to return a 5-tuple of
 plain sequences (its hook compares ``x_safe != x_target`` as one bool).  This
 test installs the tracer around one small comparison and one logged run, so a
 refactor that breaks those assumptions fails here rather than only in a
-traced benchmark run.
+traced benchmark run.  ``perfbench/workloads.py`` calls the program's
+functions directly; each workload is built and run for one cycle here, so a
+refactor that breaks one of its call sites fails here too.
 """
 
 import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 
 from safedmp import bench, safe_exec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -28,7 +31,7 @@ def load_tracing():
 
 
 def test_tracer_wraps_both_engines(sshape_model, sshape_nominal):
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     scenario = bench.load_scenario(ROOT / "scenarios" / "free_minjerk.json")
     obstacle = bench.random_static_blocker(
         sshape_nominal.trajectory, np.random.default_rng(0)
@@ -46,3 +49,11 @@ def test_tracer_wraps_both_engines(sshape_model, sshape_nominal):
     assert control.calls > 0
     assert tracer.stat("baselines.control").calls > 0
     assert any(control.engaged)  # the blocker engaged the projection
+
+
+@pytest.mark.parametrize("name", ["suite", "sweep", "gauntlet", "cli_run"])
+def test_workload_cycle_has_no_failed_ops(name, tmp_path):
+    workload = load_perfbench("workloads").WORKLOADS[name](ROOT, 1, tmp_path)
+    latencies, failed = workload.cycle()
+    assert latencies and failed == 0
+    assert not workload.final_failures()
