@@ -151,8 +151,7 @@ class ApfEngine:
         return self.model.x0.copy()
 
     def goal_distance(self) -> float:
-        diff = np.subtract(self._x, self.model.g)
-        return math.sqrt(diff.dot(diff))
+        return dmp.goal_distance(self._x, self._g, self.goal_tol)
 
     def control(self, x_measured: Sequence[float], t: float) -> list:
         """One control computation; advances the internal state.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import pathlib
 import sys
 
@@ -159,7 +160,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; :func:`main` dispatches
+    on ``args.command`` through the module's current ``cmd_*`` functions."""
     parser = argparse.ArgumentParser(
         prog="safedmp",
         description="Learn motion primitives, execute them under a safety "
@@ -185,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="rotate_random",
                        help="apply a seeded random rotation after lifting")
     learn.add_argument("--seed", type=int, default=0)
-    learn.set_defaults(func=cmd_learn)
 
     run = sub.add_parser("run", help="execute a model in a scenario")
     run.add_argument("--model", required=True, help="model JSON path")
@@ -195,22 +198,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dt", type=float, default=None)
     run.add_argument("--timing", action="store_true",
                      help="include (non-reproducible) wall-clock timing")
-    run.set_defaults(func=cmd_run)
 
     bench_cmd = sub.add_parser("bench", help="compare methods over a scenario dir")
     bench_cmd.add_argument("--scenario-dir", required=True, dest="scenario_dir")
     bench_cmd.add_argument("--out", required=True, help="output prefix")
     bench_cmd.add_argument("--timing", action="store_true",
                            help="include (non-reproducible) wall-clock timing")
-    bench_cmd.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"learn": cmd_learn, "run": cmd_run, "bench": cmd_bench}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -395,18 +395,19 @@ def step_cap(horizon: float, dt: float) -> int:
     return max(1, int(round(horizon / dt)))
 
 
-def _within_goal(x, g, goal_tol: float) -> bool:
-    """``sqrt((x - g) . (x - g)) < goal_tol`` as numpy computes it.  A Python
-    sum of squares above ``(2 goal_tol)^2`` decides False first: the two sums
-    differ only by rounding, far less than that factor of 4."""
+def goal_distance(x, g, goal_tol: float) -> float:
+    """``sqrt((x - g) . (x - g))`` as numpy computes it, within ``2 goal_tol``
+    of the goal.  Farther out it is a Python sum of squares: the two sums
+    differ only by rounding, far less than that factor of 4, so a test
+    against ``goal_tol`` decides the same."""
     acc = 0.0
     for x_i, g_i in zip(x, g):
         diff = x_i - g_i
         acc += diff * diff
     if not acc <= 4.0 * goal_tol * goal_tol:
-        return False
+        return math.sqrt(acc)
     diff = np.subtract(x, g)
-    return bool(math.sqrt(diff.dot(diff)) < goal_tol)
+    return math.sqrt(diff.dot(diff))
 
 
 @dataclass(frozen=True)
@@ -446,13 +447,13 @@ def rollout(
     z = 1.0
     positions = [x]
     for k in range(max_steps):
-        if stop_at_goal and _within_goal(x, g, goal_tol):
+        if stop_at_goal and goal_distance(x, g, goal_tol) < goal_tol:
             break
         f = forcing_at(model, dt, k, z, max_steps)
         x, v = attractor_step(x, v, f, g, tau, dt, alpha, beta)
         z = phase_step(z, tau, dt, alpha_z)
         positions.append(x)
-    converged = _within_goal(x, g, goal_tol)
+    converged = goal_distance(x, g, goal_tol) < goal_tol
     times = np.arange(len(positions)) * dt
     return RolloutResult(
         trajectory=TimedTrajectory(times, np.asarray(positions)),

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import (
     DimensionError,
@@ -144,14 +143,48 @@ def resample(traj: TimedTrajectory, n: int) -> TimedTrajectory:
 def _critically_damped_coeffs(cutoff_hz: float, fs: float):
     # Double real pole placed so the -3 dB point of one pass sits at cutoff_hz:
     # |H(jw)| = w0^2/(w0^2 + w^2) equals 1/sqrt(2) at w = w0*sqrt(sqrt(2)-1).
-    # Cached: ``bilinear`` costs more than the filtering it sets up, and every
-    # preprocess asks for the same few (cutoff, rate) pairs; ``b`` and ``a``
-    # are shared, so they are read-only.
+    # Discretized by the bilinear transform s = 2 fs (z - 1)/(z + 1) with the
+    # polynomial arithmetic of ``scipy.signal.bilinear`` (2 fs split as
+    # sqrt(2 fs) between the two binomials), then divided by den[0] as its
+    # ``normalize`` does, so ``b`` and ``a`` are scipy's bits.  ``zi`` is
+    # ``scipy.signal.lfilter_zi``: the step-response steady state, solved
+    # from (I - companion(a).T) zi = b[1:] - a[1:] b[0].  Cached: every
+    # preprocess asks for the same few (cutoff, rate) pairs.
     omega0 = 2.0 * math.pi * cutoff_hz / math.sqrt(math.sqrt(2.0) - 1.0)
-    b, a = signal.bilinear([omega0**2], [1.0, 2.0 * omega0, omega0**2], fs=fs)
-    b.flags.writeable = False
-    a.flags.writeable = False
-    return b, a, omega0
+    fac = np.sqrt(fs * 2)
+    zp1 = np.polynomial.Polynomial((1, 1)) / fac
+    zm1 = np.polynomial.Polynomial((-1, 1)) * fac
+    num = sum(b_ * zp1**(2 - q) * zm1**q for q, b_ in enumerate(np.array([omega0**2])))
+    den = sum(a_ * zp1**(2 - p) * zm1**p
+              for p, a_ in enumerate(np.array([omega0**2, 2.0 * omega0, 1.0])))
+    b = num.coef[::-1] / den.coef[-1]
+    a = den.coef[::-1] / den.coef[-1]
+    zi = np.linalg.solve([[1.0 + a[1], -1.0], [a[2], 1.0]], b[1:] - a[1:] * b[0])
+    return tuple(b.tolist()), tuple(a.tolist()), tuple(zi.tolist()), omega0
+
+
+def _filtfilt(b, a, zi, x: list) -> list:
+    """``scipy.signal.filtfilt(b, a, x, padtype=None)`` of one float column.
+
+    Each pass is ``lfilter`` with the state ``zi`` scaled by its first input,
+    in the operation order of scipy's direct-form-II-transposed C loop, so
+    the result is scipy's bits.
+    """
+    b0, b1, b2 = b
+    _, a1, a2 = a
+    for _ in range(2):
+        first = x[0]
+        z0, z1 = zi[0] * first, zi[1] * first
+        out = []
+        append = out.append
+        for v in x:
+            y = z0 + b0 * v
+            z0 = z1 + v * b1 - y * a1
+            z1 = v * b2 - y * a2
+            append(y)
+        out.reverse()
+        x = out
+    return x
 
 
 def low_pass(traj: TimedTrajectory, cutoff_hz: float) -> TimedTrajectory:
@@ -171,10 +204,14 @@ def low_pass(traj: TimedTrajectory, cutoff_hz: float) -> TimedTrajectory:
         raise InvalidInputError(
             f"cutoff {cutoff_hz} Hz must lie in (0, Nyquist={0.5 * fs:.6g} Hz)"
         )
-    b, a, omega0 = _critically_damped_coeffs(cutoff_hz, fs)
+    b, a, zi, omega0 = _critically_damped_coeffs(cutoff_hz, fs)
     pad = max(3, math.ceil(3.0 / (omega0 * dt)))
-    padded = np.pad(traj.points, ((pad, pad), (0, 0)), mode="edge")
-    smoothed = signal.filtfilt(b, a, padded, axis=0, padtype=None)[pad:-pad]
+    columns = [
+        _filtfilt(b, a, zi, [c[0]] * pad + c + [c[-1]] * pad)[pad:-pad]
+        for c in traj.points.T.tolist()
+    ]
+    # C order, as the sum order of ``mean(axis=0)`` depends on the layout
+    smoothed = np.array(columns).T.copy()
     smoothed = smoothed + (traj.points.mean(axis=0) - smoothed.mean(axis=0))
     return TimedTrajectory(traj.times, smoothed)
 

@@ -562,3 +562,32 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "m.json").exists()
+
+
+def test_import_and_run_load_no_scipy(tmp_path):
+    # scipy is needed only by ``learn --rotate-random``; importing the
+    # package and learning and running a canned scenario must not load it
+    script = f"""
+import sys
+import safedmp, safedmp.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+from safedmp import cli
+out = {str(tmp_path)!r}
+assert cli.main(["learn", "--demo", "builtin:sshape", "--out", out + "/m.json"]) == 0
+assert cli.main(["run", "--model", out + "/m.json", "--scenario",
+                 {str(SCENARIO_DIR / "static_one_sshape.json")!r},
+                 "--out", out + "/run"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_cached_parser_dispatches_to_current_command(monkeypatch, tmp_path):
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_run", lambda args: 7)
+    assert run_cli("run", "--model", "m.json", "--scenario", "s.json",
+                   "--out", str(tmp_path / "run")) == 7
+    assert cli.build_parser() is cli.build_parser()

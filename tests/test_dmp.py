@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -372,7 +373,8 @@ def goal_screen_cases(draw):
 
 
 class TestGoalScreen:
-    """The rollout's goal test screens with a Python sum of squares."""
+    """The goal test of the rollout and of dmp-apf screens with a Python sum
+    of squares."""
 
     @settings(max_examples=2000, deadline=None)
     @given(goal_screen_cases())
@@ -388,8 +390,14 @@ class TestGoalScreen:
         x, g, tol = case
         with np.errstate(all="ignore"):
             diff = np.subtract(x, g)
-            expected = math.sqrt(diff.dot(diff)) < tol
-            assert dmp._within_goal(x, g, tol) == expected
+            reference = math.sqrt(diff.dot(diff))
+            distance = dmp.goal_distance(x, g, tol)
+        assert (distance < tol) == (reference < tol)
+        assert (distance <= tol) == (reference <= tol)
+        # within twice the tolerance the distance is numpy's, as long as the
+        # squares are not subnormal (rounded to a few significant bits)
+        if reference <= 1.9 * tol and tol * tol >= sys.float_info.min:
+            assert distance == reference
 
 
 class TestForcingTable:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from safedmp import trajectory as tj
@@ -20,7 +22,7 @@ def make_traj(times, points):
 
 def low_pass_response(cutoff_hz: float, fs: float, freq_hz: float) -> float:
     """Two-pass magnitude response of :func:`tj.low_pass` at ``freq_hz``."""
-    b, a, _ = tj._critically_damped_coeffs(cutoff_hz, fs)
+    b, a, _, _ = tj._critically_damped_coeffs(cutoff_hz, fs)
     _, h = signal.freqz(b, a, worN=[2.0 * math.pi * freq_hz / fs])
     return float(np.abs(h[0]) ** 2)
 
@@ -156,6 +158,39 @@ class TestLowPass:
         traj = make_traj([0.0, 0.1, 0.5, 1.0], np.zeros((4, 1)))
         with pytest.raises(InvalidInputError):
             tj.low_pass(traj, 5.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(4, 1500),
+        fs=st.floats(5.0, 5000.0),
+        cutoff_frac=st.floats(2e-3, 0.49),
+        log_magnitude=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scipy_bits(self, d, n, fs, cutoff_frac, log_magnitude, seed):
+        # the in-package filter reproduces scipy's design and filtfilt bit
+        # for bit, including the layout that the mean restore sums in
+        rng = np.random.default_rng(seed)
+        points = 10.0**log_magnitude * np.cumsum(rng.normal(size=(n, d)), axis=0)
+        traj = make_traj(np.arange(n) / fs, points + rng.normal(size=d))
+        dt = traj.mean_dt()
+        fs = 1.0 / dt
+        cutoff_hz = cutoff_frac * fs
+
+        b, a, zi, omega0 = tj._critically_damped_coeffs(cutoff_hz, fs)
+        b_ref, a_ref = signal.bilinear(
+            [omega0**2], [1.0, 2.0 * omega0, omega0**2], fs=fs
+        )
+        assert np.array(b).tobytes() == b_ref.tobytes()
+        assert np.array(a).tobytes() == a_ref.tobytes()
+        assert np.array(zi).tobytes() == signal.lfilter_zi(b_ref, a_ref).tobytes()
+
+        pad = max(3, math.ceil(3.0 / (omega0 * dt)))
+        padded = np.pad(traj.points, ((pad, pad), (0, 0)), mode="edge")
+        ref = signal.filtfilt(b_ref, a_ref, padded, axis=0, padtype=None)[pad:-pad]
+        ref = ref + (traj.points.mean(axis=0) - ref.mean(axis=0))
+        assert tj.low_pass(traj, cutoff_hz).points.tobytes() == ref.tobytes()
 
     def test_rejects_cutoff_beyond_nyquist(self):
         traj = self.sine_traj(1.0)
