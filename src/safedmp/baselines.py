@@ -16,15 +16,15 @@ recorded, not avoided.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import dmp
 from .errors import InvalidInputError
-from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT, check_engine_args
+from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT, check_engine_args, clocked
 from .trajectory import TimedTrajectory
 
 DEFAULT_ETA = 0.01
@@ -108,7 +108,8 @@ class ApfEngine:
     step.  The time scale stays ``tau_nominal``; a ``params.max_force`` of
     None is resolved to :func:`default_max_force` once, here.  The log's
     ``xn_*`` columns report ``nominal_reference``: step k logs its point k,
-    or its last point once the run outlasts it.
+    or its last point once the run outlasts it.  ``timed`` times each
+    :meth:`control` call into ``step_seconds``, as in the safedmp engine.
     """
 
     method = "dmp-apf"
@@ -122,6 +123,7 @@ class ApfEngine:
         dt: float = DEFAULT_DT,
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
         delta_gamma: float = DEFAULT_DELTA_GAMMA,
+        timed: bool = False,
     ):
         self.obstacles = tuple(obstacles)
         check_engine_args(model, self.obstacles, dt)
@@ -134,8 +136,13 @@ class ApfEngine:
         self.delta_gamma = delta_gamma
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
+        if timed:
+            self.control = clocked(self.control, self.step_seconds)
         self._k = 0  # control steps taken: the index into the forcing table
-        self._nominal = nominal_reference.points.tolist()
+        # the xn_* column of each step in turn: the reference's points, then
+        # its last point for as long as the run lasts
+        nominal = nominal_reference.points.tolist()
+        self._nominal = chain(nominal, repeat(nominal[-1]))
 
         # the primitive's state as plain floats: phase, time scale (constant),
         # position and velocity
@@ -177,17 +184,15 @@ class ApfEngine:
         return self._x
 
     def step(self, x_measured: Sequence[float], t: float) -> list:
-        """Timed control computation plus one log row; returns the command,
-        the float list of :meth:`control`.
+        """Control computation plus one log row; returns the command, the
+        float list of :meth:`control`.
 
         The method has no projection, so the logged safe position is the
         command itself; the row logs the measurement as :meth:`control`
         converted it.
         """
-        start = time.perf_counter()
         x_next = self.control(x_measured, t)
-        self.step_seconds.append(time.perf_counter() - start)
-        x_nominal = self._nominal[min(len(self.rows), len(self._nominal) - 1)]
+        x_nominal = next(self._nominal)
         self.rows.append(
             (t, *x_nominal, *x_next, *x_next, *self._x_measured, self.tau, self.z)
         )

@@ -386,7 +386,11 @@ def plan(
     )
 
 
-def build_engine(prepared: PreparedScenario, method: str | None = None):
+def build_engine(
+    prepared: PreparedScenario, method: str | None = None, timed: bool = False
+):
+    """A fresh engine of ``method`` for the scenario; ``timed`` engines time
+    each control call into ``step_seconds``."""
     scenario = prepared.scenario
     method = method or scenario.method
     if method == "safedmp":
@@ -396,6 +400,7 @@ def build_engine(prepared: PreparedScenario, method: str | None = None):
             obstacles=scenario.obstacles,
             dt=scenario.dt,
             goal_tol=scenario.execution.goal_tol,
+            timed=timed,
         )
     if method == "dmp-apf":
         return baselines.ApfEngine(
@@ -406,6 +411,7 @@ def build_engine(prepared: PreparedScenario, method: str | None = None):
             goal_tol=scenario.execution.goal_tol,
             delta_gamma=scenario.safety.delta_gamma,
             nominal_reference=prepared.nominal,
+            timed=timed,
         )
     raise InvalidInputError(f"unknown method {method!r}")
 
@@ -428,13 +434,16 @@ def run_scenario(
     method: str | None = None,
     with_perturbations: bool = True,
     with_obstacles: bool = True,
+    with_timing: bool = False,
 ) -> safe_exec.ExecutionLog:
+    """One run of the scenario; only ``with_timing`` fills the log's wall
+    times (see :func:`build_engine`)."""
     scenario = prepared.scenario
     if not with_obstacles:
         scenario = replace(scenario, obstacles=())
         prepared = replace(prepared, scenario=scenario)
     return safe_exec.run(
-        build_engine(prepared, method),
+        build_engine(prepared, method, timed=with_timing),
         plant=_build_plant(scenario),
         perturbations=scenario.perturbations if with_perturbations else (),
         max_steps=_step_cap(prepared),
@@ -491,11 +500,12 @@ def evaluate(
 ) -> MetricsReport:
     """Compute every metric of one (method, scenario) cell from its main run.
 
-    ``log`` is the scenario's run as given (see :func:`run_scenario`); only
-    the twins come from :func:`unperturbed_twin`.  When the scenario carries
-    perturbations an unperturbed twin provides the nominal-conditions error,
-    and when it carries obstacles an obstacle-free twin provides the
-    baseline time to goal.
+    ``log`` is the scenario's run as given (see :func:`run_scenario`; a
+    report ``with_timing`` reads its wall times, so it needs a timed run);
+    only the twins come from :func:`unperturbed_twin`.  When the scenario
+    carries perturbations an unperturbed twin provides the
+    nominal-conditions error, and when it carries obstacles an
+    obstacle-free twin provides the baseline time to goal.
     """
     scenario = prepared.scenario
     method = method or scenario.method
@@ -556,7 +566,7 @@ def timing_harness(
     Fresh engines run through :func:`safe_exec.run` (the scenario's plant and
     step cap, no perturbations) until ``TIMING_WARMUP + repetitions`` steps
     are timed, the first ``TIMING_WARMUP`` dropped.  A step's time is the
-    engine's span around ``control`` (``step_seconds``); logging is not
+    timed engine's span around ``control`` (``step_seconds``); logging is not
     counted.  An infeasible run raises :class:`SafetyInfeasibleError`.  At
     least 100 measured steps are required.
     """
@@ -566,7 +576,7 @@ def timing_harness(
     total = TIMING_WARMUP + repetitions
     seconds: list[float] = []
     while len(seconds) < total:
-        engine = build_engine(prepared, method)
+        engine = build_engine(prepared, method, timed=True)
         log = safe_exec.run(
             engine,
             plant=_build_plant(scenario),
@@ -609,7 +619,7 @@ def compare(
             if scenario.name not in prepared_cache:
                 prepared_cache[scenario.name] = prepare(scenario, learned)
             prepared = prepared_cache[scenario.name]
-            log = run_scenario(prepared, method)
+            log = run_scenario(prepared, method, with_timing=with_timing)
             metrics = evaluate(prepared, log, method, with_timing)
             return ReportRow(scenario.name, method, metrics)
         except INPUT_ERRORS as exc:  # recorded, not fatal

@@ -121,7 +121,7 @@ def cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario, dt=args.dt)
 
     prepared = bench.plan(scenario, model)
-    log = bench.run_scenario(prepared)
+    log = bench.run_scenario(prepared, with_timing=args.timing)
     prefix = pathlib.Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     log_path = prefix.with_name(prefix.name + "_log.csv")

@@ -36,6 +36,11 @@ DEFAULT_N_BASIS = 25
 DEFAULT_GOAL_TOL = 1e-3
 DEFAULT_HORIZON_FACTOR = 20.0
 
+#: Goal distances at or below this are never taken from the ``math.dist``
+#: screen of the goal tests: the squares summed by the exact path can
+#: underflow there, so that path may decide differently.
+GOAL_SCREEN_FLOOR = 1e-150
+
 #: Dimensions with goal-to-start amplitude below this are left unforced.
 ZERO_AMPLITUDE_TOL = 1e-9
 
@@ -397,15 +402,14 @@ def step_cap(horizon: float, dt: float) -> int:
 
 def goal_distance(x, g, goal_tol: float) -> float:
     """``sqrt((x - g) . (x - g))`` as numpy computes it, within ``2 goal_tol``
-    of the goal.  Farther out it is a Python sum of squares: the two sums
-    differ only by rounding, far less than that factor of 4, so a test
-    against ``goal_tol`` decides the same."""
-    acc = 0.0
-    for x_i, g_i in zip(x, g):
-        diff = x_i - g_i
-        acc += diff * diff
-    if not acc <= 4.0 * goal_tol * goal_tol:
-        return math.sqrt(acc)
+    of the goal.  Farther out it is :func:`math.dist`: the two differ only by
+    rounding, far less than that factor of 2, or where numpy's squares
+    overflow to inf, so a test against ``goal_tol`` decides the same.  At or
+    below :data:`GOAL_SCREEN_FLOOR` the numpy value is returned whatever the
+    tolerance, since its squares may underflow."""
+    far = math.dist(x, g)
+    if far > 2.0 * goal_tol and far > GOAL_SCREEN_FLOOR:
+        return far
     diff = np.subtract(x, g)
     return math.sqrt(diff.dot(diff))
 

@@ -22,6 +22,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import sub
 
 import numpy as np
@@ -375,6 +376,23 @@ class FirstOrderLagPlant:
         return self._x.copy()
 
 
+def clocked(control, seconds: list):
+    """``control`` that appends the ``perf_counter`` span of each call to
+    ``seconds``: the control method of an engine built with ``timed=True``.
+
+    An untimed engine keeps its plain method and calls no clock.
+    """
+    perf = time.perf_counter
+
+    def timed_control(x_measured, t):
+        start = perf()
+        result = control(x_measured, t)
+        seconds.append(perf() - start)
+        return result
+
+    return timed_control
+
+
 def check_engine_args(model: dmp.DmpModel, obstacles, dt: float) -> None:
     """The arguments both engines share: a positive finite step and
     obstacles of the model's dimension."""
@@ -405,6 +423,10 @@ class SafeDmpEngine:
     converts any float sequence to Python floats once, at its entry, so the
     state and the log rows hold only ``float``: a numpy scalar let in there
     would slow each later operation of the step several times.
+
+    With ``timed=True`` each :meth:`control` call appends its wall time to
+    ``step_seconds`` (see :func:`clocked`); otherwise no step reads a clock
+    and ``step_seconds`` stays empty.
     """
 
     method = "safedmp"
@@ -416,6 +438,7 @@ class SafeDmpEngine:
         obstacles=(),
         dt: float = DEFAULT_DT,
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
+        timed: bool = False,
     ):
         self.obstacles = tuple(obstacles)
         check_engine_args(model, self.obstacles, dt)
@@ -425,6 +448,8 @@ class SafeDmpEngine:
         self.goal_tol = goal_tol
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
+        if timed:
+            self.control = clocked(self.control, self.step_seconds)
         self._table = obstacle_table(self.obstacles, self.safety.delta_gamma)
         self._k = 0  # control steps taken: the index into the forcing table
 
@@ -451,9 +476,16 @@ class SafeDmpEngine:
         return self.model.x0.copy()
 
     def goal_distance(self) -> float:
+        """Distance of the primitive to the goal: the square root of a Python
+        sum of squares within ``2 goal_tol`` (or :data:`dmp.GOAL_SCREEN_FLOOR`)
+        of it, and :func:`math.dist` farther out, which decides a test
+        against ``goal_tol`` the same way (see :func:`dmp.goal_distance`)."""
+        far = math.dist(self._x, self._g)
+        if far > 2.0 * self.goal_tol and far > dmp.GOAL_SCREEN_FLOOR:
+            return far
         acc = 0.0
-        for i in range(self.model.d):
-            diff = self._x[i] - self._g[i]
+        for x_i, g_i in zip(self._x, self._g):
+            diff = x_i - g_i
             acc += diff * diff
         return math.sqrt(acc)
 
@@ -521,14 +553,12 @@ class SafeDmpEngine:
             self._fallback = [m / norm for m in motion]
 
     def step(self, x_measured: Sequence[float], t: float) -> list:
-        """Timed control computation plus one log row; returns the command,
-        the float list of :meth:`control`.
+        """Control computation plus one log row; returns the command, the
+        float list of :meth:`control`.
 
         The row logs the measurement as :meth:`control` converted it.
         """
-        start = time.perf_counter()
         x_desired, x_nominal, _, x_safe, _ = self.control(x_measured, t)
-        self.step_seconds.append(time.perf_counter() - start)
         self.rows.append(
             (t, *x_nominal, *x_safe, *x_desired, *self._x_measured,
              self.tau, self.z)
@@ -564,13 +594,16 @@ def run(
 
     The package's one closed loop: every engine run, and every step that
     :func:`~.bench.timing_harness` times, is one ``engine.step`` call here
-    (the engine times its ``control`` call and logs one row).  The run ends
-    once the engine and the plant are both within ``engine.goal_tol`` of the
-    goal.  The plant realizes each command one control period later; perturbations
-    displace the measured position for exactly one step.  Safety
+    (the engine logs one row, and a timed engine times its ``control``
+    call).  The run ends once the engine and the plant are both within
+    ``engine.goal_tol`` of the goal.  The plant realizes each command one
+    control period later; perturbations displace the measured position for
+    exactly one step.  Safety
     infeasibility flags the log and stops the run instead of propagating.
     Engines log ``4d+3`` columns per step; the ``min_clearance`` column is
     added here from the ``t`` and ``xm_*`` columns and ``engine.obstacles``.
+    The log's wall times are those of a timed engine's ``step_seconds``, and
+    0.0 for an untimed one.
     """
     if plant is None:
         plant = IdealPlant()
@@ -598,22 +631,26 @@ def run(
 
     converged = False
     infeasible = False
+    step, track, goal_distance = engine.step, plant.track, engine.goal_distance
     for k in range(max_steps):
         try:
-            x_desired = engine.step(x_measured, k * dt)
+            x_desired = step(x_measured, k * dt)
         except SafetyInfeasibleError:
             infeasible = True
             break
-        x_measured = plant.track(x_desired)
+        x_measured = track(x_desired)
         if k + 1 in offsets:
             x_measured = [x + o for x, o in zip(x_measured, offsets[k + 1])]
-        if engine.goal_distance() <= goal_tol:
+        if goal_distance() <= goal_tol:
             diff = np.subtract(x_measured, model.g)
             if math.sqrt(diff.dot(diff)) <= goal_tol:
                 converged = True
                 break
 
-    rows = np.array(engine.rows, dtype=float).reshape(-1, 4 * model.d + 3)
+    width = 4 * model.d + 3
+    rows = np.fromiter(
+        chain.from_iterable(engine.rows), float, count=len(engine.rows) * width
+    ).reshape(-1, width)
     x_measured = rows[:, 1 + 3 * model.d: 1 + 4 * model.d]
     clearance = surface_clearance(engine.obstacles, rows[:, 0], x_measured)
     seconds = engine.step_seconds

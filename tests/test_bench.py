@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -476,6 +477,13 @@ class TestTimingHarness:
         assert p99 >= mean1 * 0.5
         assert abs(mean2 - mean1) < 0.5 * max(mean1, mean2)
 
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_positive_means_for_both_methods(self, method, minjerk_model):
+        mean, p99 = bench.timing_harness(
+            timing_prepared(minjerk_model), repetitions=100, method=method
+        )
+        assert mean > 0.0 and p99 > 0.0
+
     def test_rejects_too_few_repetitions(self, minjerk_model):
         with pytest.raises(InvalidInputError):
             bench.timing_harness(timing_prepared(minjerk_model), repetitions=10)
@@ -495,6 +503,60 @@ class TestTimingHarness:
         # the potential field never projects, so it still has a step cost
         mean, _ = bench.timing_harness(prepared, repetitions=100, method="dmp-apf")
         assert mean > 0.0
+
+
+class TestOptInTiming:
+    """Only runs that ask for timing read the clock."""
+
+    @pytest.fixture
+    def clock_calls(self, monkeypatch):
+        calls = []
+        clock = time.perf_counter
+
+        def counting_clock():
+            calls.append(None)
+            return clock()
+
+        monkeypatch.setattr(time, "perf_counter", counting_clock)
+        return calls
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        built = []
+        build = bench.build_engine
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(bench, "build_engine", recording_build)
+        return built
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        scenario = bench.load_scenario(
+            next(p for p in SCENARIO_PATHS if p.stem == "static_one_sshape")
+        )
+        return bench.prepare(scenario)
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_untimed_run_reads_no_clock(self, method, prepared, clock_calls, engines):
+        log = bench.run_scenario(prepared, method)
+        assert log.steps > 100
+        assert clock_calls == []
+        assert [engine.step_seconds for engine in engines] == [[]]
+        assert log.wall_time_mean == log.wall_time_p99 == 0.0
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_timed_run_times_each_control_call(
+        self, method, prepared, clock_calls, engines
+    ):
+        untimed = bench.run_scenario(prepared, method)
+        log = bench.run_scenario(prepared, method, with_timing=True)
+        assert len(clock_calls) == 2 * log.steps
+        assert len(engines[-1].step_seconds) == log.steps
+        assert log.wall_time_mean > 0.0 and log.wall_time_p99 > 0.0
+        assert log.rows.tobytes() == untimed.rows.tobytes()
 
 
 class TestGenerators:

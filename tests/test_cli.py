@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from safedmp import bench, cli, dmp, safe_exec
+from safedmp import bench, cli, dmp, safe_exec, trajectory
 from safedmp.errors import ParseError
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -246,6 +246,25 @@ class TestRun:
         [row] = bench.compare([bench.load_scenario(spath)], methods=("safedmp",))
         assert row.error in err
 
+    def test_timing_fills_metrics_and_keeps_the_log(self, model_path, tmp_path):
+        scenario = SCENARIO_DIR / "static_one_sshape.json"
+        for tag, extra in (("plain", ()), ("timed", ("--timing",))):
+            code = run_cli("run", "--model", str(model_path), "--scenario",
+                           str(scenario), "--out", str(tmp_path / tag), *extra)
+            assert code == 0
+        plain, timed = (
+            json.loads((tmp_path / f"{tag}_metrics.json").read_text())["rows"][0]
+            for tag in ("plain", "timed")
+        )
+        for key in ("exec_time_mean_s", "exec_time_p99_s"):
+            assert plain["metrics"].pop(key) is None
+            assert timed["metrics"].pop(key) > 0.0
+        assert plain == timed
+        assert (
+            (tmp_path / "plain_log.csv").read_bytes()
+            == (tmp_path / "timed_log.csv").read_bytes()
+        )
+
     def test_run_byte_determinism(self, model_path, tmp_path):
         for tag in ("a", "b"):
             code = run_cli(
@@ -332,6 +351,23 @@ def test_dt_flag_rejected(argv, model_path, tmp_path, capsys):
     assert run_cli(*argv) == cli.EXIT_INPUT
     assert "dt" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # nothing written, not even the model
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--resample-n", "1000000000"),
+    ("--cutoff-hz", "1e-6"),
+])
+def test_over_budget_demonstration_rejected(flag, value, monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        pytest.fail("preprocessing started on an over-budget demonstration")
+
+    monkeypatch.setattr(trajectory, "resample", no_work)
+    monkeypatch.setattr(trajectory, "_filtfilt", no_work)
+    code = run_cli("learn", "--demo", "builtin:sshape", flag, value,
+                   "--out", str(tmp_path / "m.json"))
+    assert code == cli.EXIT_INPUT
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # Malformed documents: each must exit 2 with the offending value's path.

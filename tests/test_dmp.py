@@ -400,6 +400,33 @@ class TestGoalScreen:
             assert distance == reference
 
 
+class TestEngineGoalScreen:
+    """The safedmp engine's goal test screens with :func:`math.dist` before
+    its exact path, a plain Python sum of squares."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(goal_screen_cases())
+    # subnormal tolerance: the exact squares underflow to 0, so the exact
+    # path says "at the goal" although math.dist says 1e-170
+    @example(([1e-170, 0.0, 0.0], [0.0] * 3, 1e-310))
+    # overflowing difference: the exact squares are inf, math.dist is finite
+    @example(([1.7e308, -1.7e308, 1e154], [0.0, 5.0, -5.0], 1e200))
+    def test_screen_never_changes_the_decision(self, case):
+        x, g, tol = case
+        engine = safe_exec.SafeDmpEngine(
+            zero_weight_model(d=len(g), g=g), goal_tol=tol
+        )
+        engine._x = x
+        acc = 0.0
+        for x_i, g_i in zip(x, g):
+            diff = x_i - g_i
+            acc += diff * diff
+        reference = math.sqrt(acc)
+        distance = engine.goal_distance()
+        assert (distance < tol) == (reference < tol)
+        assert (distance <= tol) == (reference <= tol)
+
+
 class TestForcingTable:
     """The phase-grid forcing table behind :func:`dmp.forcing_at`."""
 

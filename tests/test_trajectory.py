@@ -341,3 +341,49 @@ class TestPreprocess:
         assert out.n == tj.DEFAULT_RESAMPLE_N
         assert out.is_uniform()
         assert np.all(out.points[:, 2] == tj.DEFAULT_Z_HEIGHT)
+
+
+class TestSampleBudget:
+    """A demonstration's resampled and padded length is bounded before any
+    work: over-budget values are only ever rejected, never run."""
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def no_work(*args, **kwargs):
+            pytest.fail("preprocessing started on an over-budget demonstration")
+
+        monkeypatch.setattr(tj, "resample", no_work)
+        monkeypatch.setattr(tj, "_filtfilt", no_work)
+
+    @pytest.mark.parametrize("options, field", [
+        ({"resample_n": 10**9}, "resample_n"),
+        ({"resample_n": tj.MAX_DEMO_SAMPLES + 1}, "resample_n"),
+        ({"cutoff_hz": 1e-6}, "cutoff_hz"),
+        ({"cutoff_hz": 5e-324}, "cutoff_hz"),
+    ])
+    def test_rejected_before_any_work(self, options, field, monkeypatch):
+        raw = tj.load_demo("builtin:sshape")
+        self.forbid_work(monkeypatch)
+        with pytest.raises(InvalidInputError, match=field):
+            tj.preprocess(raw, **options)
+
+    def test_low_pass_checks_its_padding(self, monkeypatch):
+        traj = tj.resample(tj.load_demo("builtin:sshape"), 500)
+        self.forbid_work(monkeypatch)
+        with pytest.raises(InvalidInputError, match="cutoff_hz"):
+            tj.low_pass(traj, 1e-6)
+
+    def test_budget_boundary(self):
+        # at dt = 1 s and 1 Hz three time constants are under 3 samples, so
+        # the padding is its floor of 3 per side
+        assert tj._pad(1.0, 1.0) == 3
+        tj.check_sample_budget(tj.MAX_DEMO_SAMPLES - 6, 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="cutoff_hz"):
+            tj.check_sample_budget(tj.MAX_DEMO_SAMPLES - 5, 1.0, 1.0)
+
+    def test_canned_demonstrations_within_budget(self):
+        for name in ("minjerk", "sine2", "sshape"):
+            raw = tj.load_demo(f"builtin:{name}")
+            dt = raw.duration / (tj.DEFAULT_RESAMPLE_N - 1)
+            padded = tj.DEFAULT_RESAMPLE_N + 2 * tj._pad(tj.DEFAULT_CUTOFF_HZ, dt)
+            assert padded < tj.MAX_DEMO_SAMPLES // 100
