@@ -501,7 +501,7 @@ def evaluate(
     """Compute every metric of one (method, scenario) cell from its main run.
 
     ``log`` is the scenario's run as given (see :func:`run_scenario`; a
-    report ``with_timing`` reads its wall times, so it needs a timed run);
+    report ``with_timing`` copies its wall times, None for an untimed run);
     only the twins come from :func:`unperturbed_twin`.  When the scenario
     carries perturbations an unperturbed twin provides the
     nominal-conditions error, and when it carries obstacles an

@@ -146,7 +146,7 @@ class ExecutionLog:
 
     ``rows`` is a ``(steps, 4d+4)`` float array with one row per control
     step and the columns of :func:`log_columns`; the properties are views
-    of its columns.
+    of its columns.  The wall times are None unless the engine was timed.
     """
 
     rows: np.ndarray
@@ -154,8 +154,8 @@ class ExecutionLog:
     safety_infeasible: bool
     dt: float
     goal: np.ndarray
-    wall_time_mean: float
-    wall_time_p99: float
+    wall_time_mean: float | None
+    wall_time_p99: float | None
 
     @property
     def steps(self) -> int:
@@ -602,8 +602,8 @@ def run(
     infeasibility flags the log and stops the run instead of propagating.
     Engines log ``4d+3`` columns per step; the ``min_clearance`` column is
     added here from the ``t`` and ``xm_*`` columns and ``engine.obstacles``.
-    The log's wall times are those of a timed engine's ``step_seconds``, and
-    0.0 for an untimed one.
+    The log's wall times are the mean and p99 of a timed engine's
+    ``step_seconds``, and None for an untimed one.
     """
     if plant is None:
         plant = IdealPlant()
@@ -660,6 +660,6 @@ def run(
         safety_infeasible=infeasible,
         dt=dt,
         goal=model.g.copy(),
-        wall_time_mean=float(np.mean(seconds)) if seconds else 0.0,
-        wall_time_p99=float(np.percentile(seconds, 99)) if seconds else 0.0,
+        wall_time_mean=float(np.mean(seconds)) if seconds else None,
+        wall_time_p99=float(np.percentile(seconds, 99)) if seconds else None,
     )
