@@ -29,6 +29,22 @@ DEFAULT_RECONVERGENCE_DWELL = 10
 DEFAULT_PERTURBATION_MAGNITUDE = 0.05
 DEFAULT_PERTURBATION_FRACTIONS = (0.25, 0.60)
 
+#: :func:`oscillation_flag`: more than this many reversals inside one window
+#: of this many seconds flag a run; reversals oppose the velocity averaged
+#: over the trailing smoothing span.
+OSCILLATION_MAX_REVERSALS = 5
+OSCILLATION_WINDOW_S = 0.5
+OSCILLATION_SMOOTH_S = 0.1
+#: :func:`stall_detected`: speed below this, away from the goal, for this long.
+STALL_SPEED_TOL = 1e-4
+STALL_MIN_DURATION_S = 1.0
+
+#: Radius range of :func:`random_static_blocker`'s spheres.
+BLOCKER_RADIUS_RANGE = (0.03, 0.08)
+#: Radius and speed ranges of :func:`random_crossing_obstacle`'s spheres.
+CROSSING_RADIUS_RANGE = (0.03, 0.06)
+CROSSING_SPEED_RANGE = (0.05, 0.25)
+
 METHODS = ("safedmp", "dmp-apf")
 #: Control steps :func:`timing_harness` runs before it starts measuring.
 TIMING_WARMUP = 200
@@ -239,18 +255,13 @@ def collision_count(log: safe_exec.ExecutionLog) -> int:
     return int(np.count_nonzero(log.min_clearance < 0.0))
 
 
-def oscillation_flag(
-    log: safe_exec.ExecutionLog,
-    window_s: float = 0.5,
-    max_reversals: int = 5,
-    smooth_s: float = 0.1,
-    goal_radius: float | None = None,
-) -> bool:
+def oscillation_flag(log: safe_exec.ExecutionLog) -> bool:
     """Detect direction-reversal chatter away from the goal.
 
     A reversal is a step whose velocity opposes the moving-average velocity;
-    more than ``max_reversals`` of them inside any ``window_s`` window flags
-    the run.
+    more than :data:`OSCILLATION_MAX_REVERSALS` of them inside any
+    :data:`OSCILLATION_WINDOW_S` window flags the run.  "Away" is farther
+    from the goal than 5% of the start-to-goal distance, and at least 2 cm.
     """
     if log.steps < 3:
         return False
@@ -258,43 +269,38 @@ def oscillation_flag(
     dt = log.dt
     vel = np.diff(measured, axis=0) / dt
     # trailing average: the recent motion trend a reversal must oppose
-    w = max(2, int(round(smooth_s / dt)))
+    w = max(2, int(round(OSCILLATION_SMOOTH_S / dt)))
     csum = np.cumsum(vel, axis=0)
     smooth = np.empty_like(vel)
     smooth[:w] = csum[:w] / np.arange(1, w + 1)[:, None]
     smooth[w:] = (csum[w:] - csum[:-w]) / w
     dots = np.einsum("ij,ij->i", vel, smooth)
     speed = np.linalg.norm(vel, axis=1)
-    if goal_radius is None:
-        extent = float(np.linalg.norm(log.goal - measured[0]))
-        goal_radius = max(0.02, 0.05 * extent)
+    extent = float(np.linalg.norm(log.goal - measured[0]))
+    goal_radius = max(0.02, 0.05 * extent)
     away = np.linalg.norm(measured[:-1] - log.goal[None, :], axis=1) > goal_radius
     opposing = (dots < 0.0) & away & (speed > 1e-9)
     # one reversal = the onset of an opposing stretch, so a single smooth
     # turn of the path counts once however many samples it spans
     onsets = opposing & ~np.concatenate([[False], opposing[:-1]])
-    window = dmp.step_cap(window_s, dt)
+    window = dmp.step_cap(OSCILLATION_WINDOW_S, dt)
     counts = np.convolve(onsets.astype(float), np.ones(window), mode="valid")
-    return bool(np.any(counts > max_reversals))
+    return bool(np.any(counts > OSCILLATION_MAX_REVERSALS))
 
 
-def stall_detected(
-    log: safe_exec.ExecutionLog,
-    speed_tol: float = 1e-4,
-    min_duration_s: float = 1.0,
-    goal_radius: float | None = None,
-) -> bool:
-    """True when the motion sits nearly still away from the goal for long."""
+def stall_detected(log: safe_exec.ExecutionLog) -> bool:
+    """True when the motion sits nearly still (:data:`STALL_SPEED_TOL`) for
+    :data:`STALL_MIN_DURATION_S`, farther than ten goal tolerances
+    (``10 * dmp.DEFAULT_GOAL_TOL``) from the goal."""
     if log.steps < 3:
         return False
     measured = log.x_measured
     dt = log.dt
     speed = np.linalg.norm(np.diff(measured, axis=0) / dt, axis=1)
-    if goal_radius is None:
-        goal_radius = 10 * dmp.DEFAULT_GOAL_TOL
+    goal_radius = 10 * dmp.DEFAULT_GOAL_TOL
     away = np.linalg.norm(measured[:-1] - log.goal[None, :], axis=1) > goal_radius
-    stalled = (speed < speed_tol) & away
-    needed = int(round(min_duration_s / dt))
+    stalled = (speed < STALL_SPEED_TOL) & away
+    needed = int(round(STALL_MIN_DURATION_S / dt))
     run_length = 0
     for flag in stalled:
         run_length = run_length + 1 if flag else 0
@@ -453,15 +459,15 @@ def run_scenario(
 def standard_perturbations(
     nominal_duration: float,
     magnitude: float = DEFAULT_PERTURBATION_MAGNITUDE,
-    fractions=DEFAULT_PERTURBATION_FRACTIONS,
     direction=(0.0, 1.0, 0.0),
 ) -> tuple[Perturbation, ...]:
-    """Impulses of fixed magnitude at fixed fractions of the nominal run."""
+    """Impulses of fixed magnitude at the :data:`DEFAULT_PERTURBATION_FRACTIONS`
+    of the nominal run."""
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     return tuple(
         Perturbation(t_apply=f * nominal_duration, offset=magnitude * direction)
-        for f in fractions
+        for f in DEFAULT_PERTURBATION_FRACTIONS
     )
 
 
@@ -717,7 +723,6 @@ def random_static_blocker(
     nominal: trajectory.TimedTrajectory,
     rng: np.random.Generator,
     delta_gamma: float = safe_exec.DEFAULT_DELTA_GAMMA,
-    radius_range=(0.03, 0.08),
     fraction_range=(0.25, 0.75),
     existing=(),
 ) -> safe_exec.Obstacle:
@@ -731,7 +736,7 @@ def random_static_blocker(
     for _ in range(256):
         frac = rng.uniform(*fraction_range)
         anchor = points[int(frac * (nominal.n - 1))]
-        radius = rng.uniform(*radius_range)
+        radius = rng.uniform(*BLOCKER_RADIUS_RANGE)
         clearance = radius + 0.5 * delta_gamma
         offset = rng.normal(size=points.shape[1])
         offset *= rng.uniform(0.0, 0.3 * clearance) / max(np.linalg.norm(offset), 1e-12)
@@ -755,8 +760,6 @@ def random_crossing_obstacle(
     nominal: trajectory.TimedTrajectory,
     rng: np.random.Generator,
     delta_gamma: float = safe_exec.DEFAULT_DELTA_GAMMA,
-    radius_range=(0.03, 0.06),
-    speed_range=(0.05, 0.25),
     fraction_range=(0.3, 0.7),
 ) -> safe_exec.Obstacle:
     """Constant-velocity sphere whose track crosses the path mid-run."""
@@ -768,11 +771,11 @@ def random_crossing_obstacle(
         idx = int(frac * (nominal.n - 1))
         anchor = points[idx]
         t_hit = nominal.times[idx]
-        radius = rng.uniform(*radius_range)
+        radius = rng.uniform(*CROSSING_RADIUS_RANGE)
         clearance = radius + 0.5 * delta_gamma
         direction = rng.normal(size=d)
         direction /= max(np.linalg.norm(direction), 1e-12)
-        speed = rng.uniform(*speed_range)
+        speed = rng.uniform(*CROSSING_SPEED_RANGE)
         velocity = speed * direction
         center0 = anchor - velocity * t_hit
         # keep the moving sphere away from the goal late in the run

@@ -36,6 +36,10 @@ DEFAULT_N_BASIS = 25
 DEFAULT_GOAL_TOL = 1e-3
 DEFAULT_HORIZON_FACTOR = 20.0
 
+#: Most steps a rollout or run may take (the canned runs cap at about 8 000);
+#: :func:`step_cap` rejects a horizon and ``dt`` that need more.
+MAX_RUN_STEPS = 1_000_000
+
 #: Goal distances at or below this are never taken from the ``math.dist``
 #: screen of the goal tests: the squares summed by the exact path can
 #: underflow there, so that path may decide differently.
@@ -396,8 +400,17 @@ def attractor_step(x, v, f, g, tau: float, dt: float, alpha: float, beta: float)
 
 def step_cap(horizon: float, dt: float) -> int:
     """Steps of ``dt`` in ``horizon`` seconds, rounded, at least 1: a run's
-    step cap, and the sample count of a time window."""
-    return max(1, int(round(horizon / dt)))
+    step cap, and the sample count of a time window.  More than
+    :data:`MAX_RUN_STEPS` raise :class:`InvalidInputError`, so an over-budget
+    run is rejected before its first step."""
+    steps = horizon / dt
+    if steps > MAX_RUN_STEPS:
+        raise InvalidInputError(
+            f"a {horizon:.6g} s horizon at dt={dt:.6g} s takes {steps:.6g} steps, "
+            f"more than the {MAX_RUN_STEPS} a run may take; raise dt or lower "
+            "max_horizon_factor"
+        )
+    return max(1, int(round(steps)))
 
 
 def goal_distance(x, g, goal_tol: float) -> float:

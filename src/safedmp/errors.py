@@ -27,14 +27,6 @@ class PhaseStepError(SafeDmpError):
     """Discrete phase update would cross zero; reduce the step size."""
 
 
-class TubeDomainError(SafeDmpError, ValueError):
-    """Normalized tube error is outside (-1, 1); clip before transforming."""
-
-
-class InvalidTubeError(SafeDmpError, ValueError):
-    """Tube bounds are degenerate (upper bound not above lower bound)."""
-
-
 class SafetyInfeasibleError(SafeDmpError):
     """No collision-free projection exists for the requested target."""
 

@@ -277,9 +277,10 @@ def tube_correction(x_measured, center, x_target, dt: float, safety: SafetyParam
     """Tube term of a fixed-width symmetric tube around ``center``.
 
     Per dimension ``e = (x_meas - center)/(delta_gamma/2)`` clipped to the
-    clip limit, ``u = -gain * 4/(delta_gamma (1 - e^2)) * ln((1+e)/(1-e))``
-    (the law of :func:`stt.stt_control`).  Returns ``(u, x_desired, shift)``
-    with ``x_desired = x_target + u dt`` and ``shift = ||u dt||``.
+    clip limit, ``u = -gain * 4/(delta_gamma (1 - e^2)) * ln((1+e)/(1-e))``.
+    This is the package's one tube law (:func:`stt.stt_control` evaluates it
+    on arrays).  Returns ``(u, x_desired, shift)`` with
+    ``x_desired = x_target + u dt`` and ``shift = ||u dt||``.
 
     When ``x_measured - center`` is zero in every dimension every ``e`` is
     +-0.0 and ``ln(1) = 0``, so the law's value is returned unevaluated:

@@ -12,8 +12,10 @@ import time
 
 import numpy as np
 
-from safedmp import baselines, bench, cli, dmp, safe_exec, stt
+from safedmp import baselines, bench, cli, dmp, safe_exec
 from safedmp import trajectory as tj
+
+import stt_oracle
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -129,22 +131,38 @@ def test_05_phase_system_oracle():
 
 
 def test_06_stt_law_unit_properties():
+    # the engine's own law, safe_exec.tube_correction, with the grid as one
+    # vector of coordinates; the tube has center 0 and half-width 1
     grid = np.linspace(-0.99, 0.99, 10_000)
     center, half = 0.0, 1.0
-    assert stt.stt_control(center, center - half, center + half, gain=1.0) == 0.0
-    u = stt.stt_control(grid * half + center, center - half, center + half, gain=1.0)
+    params = safe_exec.SafetyParams(delta_gamma=2.0 * half, gain=1.0)
+
+    def law(x):
+        n = len(x)
+        return np.array(safe_exec.tube_correction(
+            list(x), [center] * n, [0.0] * n, 0.005, params)[0])
+
+    assert law([center]) == 0.0  # the zero-error shortcut
+    assert law([center + 0.5 * half, center])[1] == 0.0  # the evaluated law
+    u = law(grid * half + center)
     nonzero = np.abs(grid) > 1e-12
     assert np.all(np.sign(u[nonzero]) == -np.sign(grid[nonzero]))
     pos = grid > 0
     assert np.all(np.diff(np.abs(u[pos])) > 0)  # strictly monotone in |e|
-    u_flipped = stt.stt_control(-grid * half + center, center - half, center + half,
-                                gain=1.0)
+    u_flipped = law(-grid * half + center)
     assert np.max(np.abs(u + u_flipped)) < 1e-12  # odd
-    round_trip = stt.inverse_log_error(stt.log_error(grid))
+    bound = stt_oracle.control_magnitude_bound(params.gain, params.delta_gamma,
+                                               params.clip_limit)
+    assert np.all(np.abs(u) <= bound + 1e-12)
+    beyond = np.array([1.0, 1.5, 1e6]) * half
+    saturated = np.abs(np.concatenate([law(center + beyond), law(center - beyond)]))
+    assert np.max(np.abs(saturated - bound)) < 1e-12 * bound  # clip bound reached
+    round_trip = stt_oracle.inverse_log_error(stt_oracle.log_error(grid))
     assert np.max(np.abs(round_trip - grid)) < 1e-12
     report(6, "stt-law-unit-properties",
-           "10^4-point grid: zero at center, centering sign, strict "
-           "monotonicity, oddness and log round-trip all within 1e-12")
+           "tube_correction on a 10^4-point grid: zero at center, centering "
+           "sign, strict monotonicity, oddness, clip bound and log round-trip "
+           "all within 1e-12")
 
 
 def _timing_prepared():

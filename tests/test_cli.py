@@ -353,6 +353,33 @@ def test_dt_flag_rejected(argv, model_path, tmp_path, capsys):
     assert not any(tmp_path.iterdir())  # nothing written, not even the model
 
 
+@pytest.mark.parametrize("argv, horizon_factor, field", [
+    (("learn", "--demo", "builtin:minjerk", "--dt", "1e-6"), None, "dt"),
+    (("run", "--dt", "1e-6"), None, "dt"),
+    (("run",), 1e4, "max_horizon_factor"),
+], ids=["learn-dt", "run-dt", "run-horizon-factor"])
+def test_over_budget_run_rejected(
+    argv, horizon_factor, field, model_path, monkeypatch, tmp_path_factory,
+    tmp_path, capsys,
+):
+    if argv[0] == "run":
+        doc = json.loads((SCENARIO_DIR / "free_sshape.json").read_text())
+        if horizon_factor is not None:
+            doc["execution"]["max_horizon_factor"] = horizon_factor
+        spath = tmp_path_factory.mktemp("scenario") / "scenario.json"
+        spath.write_text(json.dumps(doc))
+        argv += ("--scenario", str(spath), "--model", str(model_path))
+
+    def no_stepping(*args, **kwargs):
+        pytest.fail("stepping started on an over-budget run")
+
+    monkeypatch.setattr(dmp, "attractor_step", no_stepping)
+    monkeypatch.setattr(safe_exec, "run", no_stepping)
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == cli.EXIT_INPUT
+    assert field in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # no model, log or metrics written
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--resample-n", "1000000000"),
     ("--cutoff-hz", "1e-6"),

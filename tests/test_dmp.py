@@ -328,6 +328,31 @@ class TestRollout:
             dmp.rollout(zero_weight_model(d=1), 0.005, horizon=horizon)
 
 
+def no_stepping(*args, **kwargs):
+    pytest.fail("stepping started on an over-budget run")
+
+
+class TestStepBudget:
+    """Over-budget runs are rejected before their first step, never run."""
+
+    def test_cap_reaches_the_budget(self):
+        assert dmp.step_cap(0.5 * dmp.MAX_RUN_STEPS, 0.5) == dmp.MAX_RUN_STEPS
+        with pytest.raises(InvalidInputError, match="dt"):
+            dmp.step_cap(0.5 * dmp.MAX_RUN_STEPS + 1.0, 0.5)
+
+    @pytest.mark.parametrize("horizon, dt", [(1e4, 0.005), (2.0, 1e-6)])
+    def test_rollout_rejected(self, horizon, dt, monkeypatch):
+        monkeypatch.setattr(dmp, "attractor_step", no_stepping)
+        with pytest.raises(InvalidInputError, match="max_horizon_factor"):
+            dmp.rollout(zero_weight_model(d=1), dt, horizon=horizon)
+
+    def test_run_rejected(self, monkeypatch):
+        engine = safe_exec.SafeDmpEngine(zero_weight_model(d=3), dt=1e-6)
+        monkeypatch.setattr(engine, "step", no_stepping)
+        with pytest.raises(InvalidInputError, match="dt=1e-06"):
+            safe_exec.run(engine)
+
+
 def is_float_row(f, d):
     """A stored table entry: an immutable tuple of d Python floats."""
     return type(f) is tuple and len(f) == d and all(type(v) is float for v in f)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safedmp import bench, safe_exec, stt
+from safedmp import bench, safe_exec
 from safedmp.errors import InvalidInputError, SafetyInfeasibleError
+
+import stt_oracle
 
 
 def project(target, obstacles, delta_gamma, t=0.0, fallback=(0.0, 0.0, 1.0)):
@@ -148,7 +150,7 @@ class TestSttModulation:
             center = rng.normal(size=3)
             x = center + rng.uniform(-0.2, 0.2, size=3)
             u, _, _ = safe_exec.tube_correction(x, center, center, 0.005, params)
-            ref = stt.stt_control(
+            ref = stt_oracle.stt_control(
                 x, center - 0.05, center + 0.05, gain=0.7, clip_limit=0.99
             )
             np.testing.assert_allclose(u, ref, rtol=1e-12, atol=1e-12)
@@ -164,7 +166,7 @@ class TestSttModulation:
         u, _, _ = safe_exec.tube_correction(
             [0.3, 0.0, 0.0], [0.0] * 3, [0.0] * 3, 0.005, params
         )
-        bound = stt.control_magnitude_bound(1.0, 0.1, 0.99)
+        bound = stt_oracle.control_magnitude_bound(1.0, 0.1, 0.99)
         assert np.isfinite(u[0])
         assert abs(u[0]) == pytest.approx(bound, rel=1e-9)
 
@@ -197,7 +199,7 @@ class TestSttModulation:
         half = 0.5 * params.delta_gamma
         prev_safe = sshape_model.x0
         for x_measured, x_safe, u in zip(log.x_measured, log.x_safe, tube_terms):
-            ref = stt.stt_control(
+            ref = stt_oracle.stt_control(
                 x_measured, prev_safe - half, prev_safe + half,
                 params.gain, params.clip_limit,
             )
