@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dmp
 from .errors import InvalidInputError
-from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT, check_engine_args, clocked
+from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT, Engine
 from .trajectory import TimedTrajectory
 
 DEFAULT_ETA = 0.01
@@ -94,22 +94,21 @@ def apf_force(
     return force
 
 
-class ApfEngine:
+class ApfEngine(Engine):
     """Primitive plus potential-field coupling, integrated as one system.
 
     The measured position handed to :meth:`step` is adopted as the current
     state (so impulses displace the integration directly); with eta
     effectively zero the run reproduces the nominal rollout bit for bit.
 
-    The state is plain floats, like :class:`~.safe_exec.SafeDmpEngine`'s:
+    The state is the plain floats of :class:`~.safe_exec.Engine`:
     :meth:`control` converts the measurement once, adds the repulsion of
     :func:`apf_force` to the forcing row from :func:`dmp.forcing_at` and
     advances the primitive with :func:`dmp.attractor_step`, the rollout's own
     step.  The time scale stays ``tau_nominal``; a ``params.max_force`` of
     None is resolved to :func:`default_max_force` once, here.  The log's
     ``xn_*`` columns report ``nominal_reference``: step k logs its point k,
-    or its last point once the run outlasts it.  ``timed`` times each
-    :meth:`control` call into ``step_seconds``, as in the safedmp engine.
+    or its last point once the run outlasts it.
     """
 
     method = "dmp-apf"
@@ -125,40 +124,15 @@ class ApfEngine:
         delta_gamma: float = DEFAULT_DELTA_GAMMA,
         timed: bool = False,
     ):
-        self.obstacles = tuple(obstacles)
-        check_engine_args(model, self.obstacles, dt)
-        self.model = model
+        super().__init__(model, obstacles, dt, goal_tol, timed)
         self.params = params if params is not None else ApfParams()
         if self.params.max_force is None:
             self.params = replace(self.params, max_force=default_max_force(model))
-        self.dt = dt
-        self.goal_tol = goal_tol
         self.delta_gamma = delta_gamma
-        self.rows: list[tuple] = []
-        self.step_seconds: list[float] = []
-        if timed:
-            self.control = clocked(self.control, self.step_seconds)
-        self._k = 0  # control steps taken: the index into the forcing table
         # the xn_* column of each step in turn: the reference's points, then
         # its last point for as long as the run lasts
         nominal = nominal_reference.points.tolist()
         self._nominal = chain(nominal, repeat(nominal[-1]))
-
-        # the primitive's state as plain floats: phase, time scale (constant),
-        # position and velocity
-        self.z = 1.0
-        self.tau = model.tau_nominal
-        self._x = model.x0.tolist()
-        # the last measured position as control converted it; step logs it
-        self._x_measured = self._x
-        self._v = [0.0] * model.d
-        self._g = model.g.tolist()
-
-    def initial_position(self) -> np.ndarray:
-        return self.model.x0.copy()
-
-    def goal_distance(self) -> float:
-        return dmp.goal_distance(self._x, self._g, self.goal_tol)
 
     def control(self, x_measured: Sequence[float], t: float) -> list:
         """One control computation; advances the internal state.

@@ -41,9 +41,11 @@ STALL_MIN_DURATION_S = 1.0
 
 #: Radius range of :func:`random_static_blocker`'s spheres.
 BLOCKER_RADIUS_RANGE = (0.03, 0.08)
-#: Radius and speed ranges of :func:`random_crossing_obstacle`'s spheres.
+#: Radius and speed ranges of :func:`random_crossing_obstacle`'s spheres, and
+#: the range of path fractions whose point the track crosses.
 CROSSING_RADIUS_RANGE = (0.03, 0.06)
 CROSSING_SPEED_RANGE = (0.05, 0.25)
+CROSSING_FRACTION_RANGE = (0.3, 0.7)
 
 METHODS = ("safedmp", "dmp-apf")
 #: Control steps :func:`timing_harness` runs before it starts measuring.
@@ -502,16 +504,16 @@ def evaluate(
     prepared: PreparedScenario,
     log: safe_exec.ExecutionLog,
     method: str | None = None,
-    with_timing: bool = False,
 ) -> MetricsReport:
     """Compute every metric of one (method, scenario) cell from its main run.
 
-    ``log`` is the scenario's run as given (see :func:`run_scenario`; a
-    report ``with_timing`` copies its wall times, None for an untimed run);
-    only the twins come from :func:`unperturbed_twin`.  When the scenario
-    carries perturbations an unperturbed twin provides the
-    nominal-conditions error, and when it carries obstacles an
-    obstacle-free twin provides the baseline time to goal.
+    ``log`` is the scenario's run as given (see :func:`run_scenario`); the
+    report copies its wall times, None for an untimed run.  Only the twins
+    come from :func:`unperturbed_twin`.  When the scenario carries
+    perturbations an unperturbed twin provides the nominal-conditions
+    error, and when it carries obstacles an obstacle-free twin provides the
+    baseline time to goal.  A log of fewer than 2 steps (a run infeasible
+    from its start) is no trajectory: its trajectory metrics are None.
     """
     scenario = prepared.scenario
     method = method or scenario.method
@@ -519,38 +521,34 @@ def evaluate(
     has_perts = bool(scenario.perturbations)
     has_obstacles = bool(scenario.obstacles)
 
-    measured = trajectory.TimedTrajectory(log.t, log.x_measured)
-    if has_perts:
-        unperturbed, unperturbed_time = unperturbed_twin(prepared, method)
-    else:
-        unperturbed, unperturbed_time = measured, log.time_to_goal()
-
-    mae_nominal = mae(unperturbed, prepared.nominal)
-    mae_perturbed = mae(measured, prepared.nominal) if has_perts else None
-
-    if has_perts:
-        conv_perturb = convergence_time_perturb(
-            log, prepared.nominal, scenario.perturbations
-        )
-        if math.isinf(conv_perturb):
-            conv_perturb = None
-    else:
-        conv_perturb = None
-
-    conv_oa = None
-    if has_obstacles:
-        _, free_time = unperturbed_twin(prepared, method, with_obstacles=False)
-        try:
-            conv_oa = convergence_time_oa(
-                unperturbed_time, free_time, len(scenario.obstacles)
+    mae_nominal = mae_perturbed = conv_perturb = conv_oa = None
+    if log.steps >= 2:
+        measured = trajectory.TimedTrajectory(log.t, log.x_measured)
+        if has_perts:
+            unperturbed, unperturbed_time = unperturbed_twin(prepared, method)
+            mae_perturbed = mae(measured, prepared.nominal)
+            conv_perturb = convergence_time_perturb(
+                log, prepared.nominal, scenario.perturbations
             )
-        except UndefinedMetricError:
-            conv_oa = None
+            if math.isinf(conv_perturb):
+                conv_perturb = None
+        else:
+            unperturbed, unperturbed_time = measured, log.time_to_goal()
+        mae_nominal = mae(unperturbed, prepared.nominal)
+
+        if has_obstacles:
+            _, free_time = unperturbed_twin(prepared, method, with_obstacles=False)
+            try:
+                conv_oa = convergence_time_oa(
+                    unperturbed_time, free_time, len(scenario.obstacles)
+                )
+            except UndefinedMetricError:
+                pass
 
     min_clear = log.min_surface_clearance()
     return MetricsReport(
-        exec_time_mean_s=log.wall_time_mean if with_timing else None,
-        exec_time_p99_s=log.wall_time_p99 if with_timing else None,
+        exec_time_mean_s=log.wall_time_mean,
+        exec_time_p99_s=log.wall_time_p99,
         mae_nominal_m=mae_nominal,
         mae_perturbed_m=mae_perturbed,
         conv_time_perturb_s=conv_perturb,
@@ -626,7 +624,7 @@ def compare(
                 prepared_cache[scenario.name] = prepare(scenario, learned)
             prepared = prepared_cache[scenario.name]
             log = run_scenario(prepared, method, with_timing=with_timing)
-            metrics = evaluate(prepared, log, method, with_timing)
+            metrics = evaluate(prepared, log, method)
             return ReportRow(scenario.name, method, metrics)
         except INPUT_ERRORS as exc:  # recorded, not fatal
             return ReportRow(scenario.name, method, None, error=str(exc))
@@ -760,14 +758,13 @@ def random_crossing_obstacle(
     nominal: trajectory.TimedTrajectory,
     rng: np.random.Generator,
     delta_gamma: float = safe_exec.DEFAULT_DELTA_GAMMA,
-    fraction_range=(0.3, 0.7),
 ) -> safe_exec.Obstacle:
     """Constant-velocity sphere whose track crosses the path mid-run."""
     points = nominal.points
     x0, g = points[0], points[-1]
     d = points.shape[1]
     for _ in range(256):
-        frac = rng.uniform(*fraction_range)
+        frac = rng.uniform(*CROSSING_FRACTION_RANGE)
         idx = int(frac * (nominal.n - 1))
         anchor = points[idx]
         t_hit = nominal.times[idx]

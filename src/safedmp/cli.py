@@ -36,10 +36,9 @@ def write_log_csv(log: safe_exec.ExecutionLog, path) -> None:
     many values (under an ideal plant each measured position is the
     previous command), so each distinct 64-bit pattern is formatted once
     and indexed back into the rows.  Keying on bits, not values, keeps
-    ``-0.0`` apart from ``0.0``.
+    ``-0.0`` apart from ``0.0``.  A log of no steps (a run infeasible at
+    its first step) is the header alone.
     """
-    if not log.steps:
-        raise InvalidInputError("cannot write an empty execution log")
     bits = np.ascontiguousarray(log.rows).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
     text = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
@@ -128,7 +127,7 @@ def cmd_run(args) -> int:
     metrics_path = prefix.with_name(prefix.name + "_metrics.json")
     write_log_csv(log, log_path)
     row = bench.ReportRow(scenario.name, scenario.method,
-                          bench.evaluate(prepared, log, with_timing=args.timing))
+                          bench.evaluate(prepared, log))
     metrics_path.write_text(bench.report_to_json([row]), encoding="utf-8")
     print(f"log written to {log_path}")
     print(f"metrics written to {metrics_path}")

@@ -41,7 +41,7 @@ DEFAULT_HORIZON_FACTOR = 20.0
 MAX_RUN_STEPS = 1_000_000
 
 #: Goal distances at or below this are never taken from the ``math.dist``
-#: screen of the goal tests: the squares summed by the exact path can
+#: screen of :func:`goal_distance`: the squares summed by the exact path can
 #: underflow there, so that path may decide differently.
 GOAL_SCREEN_FLOOR = 1e-150
 

@@ -394,18 +394,61 @@ def clocked(control, seconds: list):
     return timed_control
 
 
-def check_engine_args(model: dmp.DmpModel, obstacles, dt: float) -> None:
-    """The arguments both engines share: a positive finite step and
-    obstacles of the model's dimension."""
-    if not 0.0 < dt < math.inf:
-        raise InvalidInputError("dt must be positive and finite")
-    if any(obs.d != model.d for obs in obstacles):
-        raise InvalidInputError(
-            f"obstacle dimension must match the model's d={model.d}"
-        )
+class Engine:
+    """What :func:`run`, :func:`~.bench.timing_harness` and the benchmark
+    read from an engine; a method subclasses it and adds its own
+    parameters, ``control`` and ``step``.
+
+    The constructor checks the arguments every method shares (a positive
+    finite ``dt``, obstacles of the model's dimension) and sets up the
+    primitive's state as plain floats: phase ``z``, time scale ``tau``,
+    position ``_x``, velocity ``_v``, goal ``_g`` and ``_k``, the control
+    steps taken (the index into the forcing table).  ``control`` converts
+    each measurement to a float list, ``_x_measured``, which ``step`` logs
+    in its row of ``rows``.  With ``timed=True`` each ``control`` call
+    appends its wall time to ``step_seconds`` (see :func:`clocked`);
+    otherwise no step reads a clock and ``step_seconds`` stays empty.
+    """
+
+    def __init__(
+        self,
+        model: dmp.DmpModel,
+        obstacles=(),
+        dt: float = DEFAULT_DT,
+        goal_tol: float = dmp.DEFAULT_GOAL_TOL,
+        timed: bool = False,
+    ):
+        self.obstacles = tuple(obstacles)
+        if not 0.0 < dt < math.inf:
+            raise InvalidInputError("dt must be positive and finite")
+        if any(obs.d != model.d for obs in self.obstacles):
+            raise InvalidInputError(
+                f"obstacle dimension must match the model's d={model.d}"
+            )
+        self.model = model
+        self.dt = dt
+        self.goal_tol = goal_tol
+        self.rows: list[tuple] = []
+        self.step_seconds: list[float] = []
+        if timed:
+            self.control = clocked(self.control, self.step_seconds)
+        self._k = 0
+        self.z = 1.0
+        self.tau = model.tau_nominal
+        self._x = model.x0.tolist()
+        self._v = [0.0] * model.d
+        self._g = model.g.tolist()
+        self._x_measured = self._x
+
+    def initial_position(self) -> np.ndarray:
+        return self.model.x0.copy()
+
+    def goal_distance(self) -> float:
+        """Distance of the primitive to the goal (:func:`dmp.goal_distance`)."""
+        return dmp.goal_distance(self._x, self._g, self.goal_tol)
 
 
-class SafeDmpEngine:
+class SafeDmpEngine(Engine):
     """One scenario's closed-loop controller; owns its state and log.
 
     The measured position handed to :meth:`step` is compared against the
@@ -424,10 +467,6 @@ class SafeDmpEngine:
     converts any float sequence to Python floats once, at its entry, so the
     state and the log rows hold only ``float``: a numpy scalar let in there
     would slow each later operation of the step several times.
-
-    With ``timed=True`` each :meth:`control` call appends its wall time to
-    ``step_seconds`` (see :func:`clocked`); otherwise no step reads a clock
-    and ``step_seconds`` stays empty.
     """
 
     method = "safedmp"
@@ -441,54 +480,18 @@ class SafeDmpEngine:
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
         timed: bool = False,
     ):
-        self.obstacles = tuple(obstacles)
-        check_engine_args(model, self.obstacles, dt)
-        self.model = model
+        super().__init__(model, obstacles, dt, goal_tol, timed)
         self.safety = safety if safety is not None else SafetyParams()
-        self.dt = dt
-        self.goal_tol = goal_tol
-        self.rows: list[tuple] = []
-        self.step_seconds: list[float] = []
-        if timed:
-            self.control = clocked(self.control, self.step_seconds)
         self._table = obstacle_table(self.obstacles, self.safety.delta_gamma)
-        self._k = 0  # control steps taken: the index into the forcing table
-
-        # the primitive's state as plain floats (hot-loop friendly): phase,
-        # time scale, position, velocity and coupling error
-        self.z = 1.0
-        self.tau = model.tau_nominal
-        self._x = [float(v) for v in model.x0]
-        self._v = [0.0] * model.d
+        # coupling error and the safe point the last command steered to
         self._ec = [0.0] * model.d
-        self._x_safe_prev = [float(v) for v in model.x0]
-        # the last measured position as control converted it; step logs it
-        self._x_measured = [float(v) for v in model.x0]
+        self._x_safe_prev = self._x
         # push direction for a point at a sphere center: the last projected
         # motion of the safe point, or +z before any
         self._fallback = [0.0] * model.d
         self._fallback[-1] = 1.0
-
-        self._g = [float(v) for v in model.g]
         self._gains = (model.alpha, model.beta, model.alpha_z)
         self._coupling = (model.alpha_e, model.k_c, model.tau_nominal)
-
-    def initial_position(self) -> np.ndarray:
-        return self.model.x0.copy()
-
-    def goal_distance(self) -> float:
-        """Distance of the primitive to the goal: the square root of a Python
-        sum of squares within ``2 goal_tol`` (or :data:`dmp.GOAL_SCREEN_FLOOR`)
-        of it, and :func:`math.dist` farther out, which decides a test
-        against ``goal_tol`` the same way (see :func:`dmp.goal_distance`)."""
-        far = math.dist(self._x, self._g)
-        if far > 2.0 * self.goal_tol and far > dmp.GOAL_SCREEN_FLOOR:
-            return far
-        acc = 0.0
-        for x_i, g_i in zip(self._x, self._g):
-            diff = x_i - g_i
-            acc += diff * diff
-        return math.sqrt(acc)
 
     def control(self, x_measured: Sequence[float], t: float) -> tuple:
         """One control computation; advances the internal state.
@@ -591,16 +594,17 @@ def run(
     perturbations=(),
     max_steps: int | None = None,
 ) -> ExecutionLog:
-    """Drive an engine against a simulated plant until the goal or a cap.
+    """Drive an :class:`Engine` against a simulated plant until the goal or
+    a cap.
 
     The package's one closed loop: every engine run, and every step that
     :func:`~.bench.timing_harness` times, is one ``engine.step`` call here
     (the engine logs one row, and a timed engine times its ``control``
     call).  The run ends once the engine and the plant are both within
-    ``engine.goal_tol`` of the goal.  The plant realizes each command one
-    control period later; perturbations displace the measured position for
-    exactly one step.  Safety
-    infeasibility flags the log and stops the run instead of propagating.
+    ``engine.goal_tol`` of the goal by :func:`dmp.goal_distance`.  The plant
+    realizes each command one control period later; perturbations displace
+    the measured position for exactly one step.  Safety infeasibility flags
+    the log and stops the run instead of propagating.
     Engines log ``4d+3`` columns per step; the ``min_clearance`` column is
     added here from the ``t`` and ``xm_*`` columns and ``engine.obstacles``.
     The log's wall times are the mean and p99 of a timed engine's
@@ -633,6 +637,7 @@ def run(
     converged = False
     infeasible = False
     step, track, goal_distance = engine.step, plant.track, engine.goal_distance
+    g = model.g.tolist()
     for k in range(max_steps):
         try:
             x_desired = step(x_measured, k * dt)
@@ -642,11 +647,10 @@ def run(
         x_measured = track(x_desired)
         if k + 1 in offsets:
             x_measured = [x + o for x, o in zip(x_measured, offsets[k + 1])]
-        if goal_distance() <= goal_tol:
-            diff = np.subtract(x_measured, model.g)
-            if math.sqrt(diff.dot(diff)) <= goal_tol:
-                converged = True
-                break
+        if (goal_distance() <= goal_tol
+                and dmp.goal_distance(x_measured, g, goal_tol) <= goal_tol):
+            converged = True
+            break
 
     width = 4 * model.d + 3
     rows = np.fromiter(

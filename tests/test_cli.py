@@ -214,6 +214,36 @@ class TestRun:
         assert code == cli.EXIT_INFEASIBLE
         assert (tmp_path / "jam_log.csv").exists()  # partial log still written
 
+    def test_infeasible_at_first_step_writes_log_and_metrics(self, tmp_path):
+        # clearance spheres 0.16 apart on the start-to-goal line around the
+        # start: the first target cannot be projected clear, so the run logs
+        # no step, and its log and metrics are still written
+        model_out = tmp_path / "mj.json"
+        run_cli("learn", "--demo", "builtin:minjerk", "--out", str(model_out))
+        model = dmp.load_model(model_out)
+        u = (model.g - model.x0) / np.linalg.norm(model.g - model.x0)
+        scenario = bench.Scenario(
+            name="boxed_start", demo_source="builtin:minjerk",
+            obstacles=tuple(
+                safe_exec.Obstacle(center0=model.x0 + s * u, radius=0.1)
+                for s in (-0.01, 0.15)
+            ),
+        )
+        spath = tmp_path / "boxed.json"
+        bench.save_scenario(scenario, spath)
+        code = run_cli(
+            "run", "--model", str(model_out), "--scenario", str(spath),
+            "--out", str(tmp_path / "boxed"),
+        )
+        assert code == cli.EXIT_INFEASIBLE
+        assert cli.read_log_csv(tmp_path / "boxed_log.csv").shape == (0, 16)
+        doc = json.loads((tmp_path / "boxed_metrics.json").read_text())
+        metrics = doc["rows"][0]["metrics"]
+        assert metrics["mae_nominal_m"] is None and not metrics["converged"]
+        # the comparison grid reports the same cell instead of an error
+        [row] = bench.compare([scenario], methods=("safedmp",))
+        assert row.error is None and row.metrics.mae_nominal_m is None
+
     def test_exit_code_nonconvergence(self, tmp_path):
         model_out = tmp_path / "mj.json"
         run_cli("learn", "--demo", "builtin:minjerk", "--out", str(model_out))

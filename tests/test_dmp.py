@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from safedmp import bench, dmp, safe_exec
+from safedmp import baselines, bench, dmp, safe_exec
 from safedmp import trajectory as tj
 from safedmp.errors import (
     DegeneratePhaseError,
@@ -398,8 +398,9 @@ def goal_screen_cases(draw):
 
 
 class TestGoalScreen:
-    """The goal test of the rollout and of dmp-apf screens with a Python sum
-    of squares."""
+    """The one goal test (the rollout's, both engines' and the plant's in
+    :func:`safe_exec.run`) screens with :func:`math.dist` before numpy's
+    ``dot``."""
 
     @settings(max_examples=2000, deadline=None)
     @given(goal_screen_cases())
@@ -411,6 +412,11 @@ class TestGoalScreen:
     @example(([-1.4848707014504097, 19.222735856455497, -16.255620580655286,
                -11.612230842000997, -8.719300139335266, -4.046408418698682],
               [0.0] * 6, 29.38038693427907))
+    # subnormal tolerance: the exact squares underflow to 0, so the exact
+    # path says "at the goal" although math.dist says 1e-170
+    @example(([1e-170, 0.0, 0.0], [0.0] * 3, 1e-310))
+    # overflowing difference: the exact squares are inf, math.dist is finite
+    @example(([1.7e308, -1.7e308, 1e154], [0.0, 5.0, -5.0], 1e200))
     def test_screen_never_changes_the_decision(self, case):
         x, g, tol = case
         with np.errstate(all="ignore"):
@@ -426,30 +432,24 @@ class TestGoalScreen:
 
 
 class TestEngineGoalScreen:
-    """The safedmp engine's goal test screens with :func:`math.dist` before
-    its exact path, a plain Python sum of squares."""
+    """Both engines' goal test is :func:`dmp.goal_distance` of their state."""
 
     @settings(max_examples=2000, deadline=None)
     @given(goal_screen_cases())
-    # subnormal tolerance: the exact squares underflow to 0, so the exact
-    # path says "at the goal" although math.dist says 1e-170
-    @example(([1e-170, 0.0, 0.0], [0.0] * 3, 1e-310))
-    # overflowing difference: the exact squares are inf, math.dist is finite
-    @example(([1.7e308, -1.7e308, 1e154], [0.0, 5.0, -5.0], 1e200))
     def test_screen_never_changes_the_decision(self, case):
         x, g, tol = case
-        engine = safe_exec.SafeDmpEngine(
-            zero_weight_model(d=len(g), g=g), goal_tol=tol
-        )
-        engine._x = x
-        acc = 0.0
-        for x_i, g_i in zip(x, g):
-            diff = x_i - g_i
-            acc += diff * diff
-        reference = math.sqrt(acc)
-        distance = engine.goal_distance()
-        assert (distance < tol) == (reference < tol)
-        assert (distance <= tol) == (reference <= tol)
+        model = zero_weight_model(d=len(g), g=g)
+        nominal = tj.TimedTrajectory([0.0, 1.0], [model.x0, model.g])
+        engines = [
+            safe_exec.SafeDmpEngine(model, goal_tol=tol),
+            baselines.ApfEngine(model, nominal, goal_tol=tol),
+        ]
+        with np.errstate(all="ignore"):
+            expected = dmp.goal_distance(x, g, tol)
+            for engine in engines:
+                engine._x = x
+                distance = engine.goal_distance()
+                assert np.float64(distance).tobytes() == np.float64(expected).tobytes()
 
 
 class TestForcingTable:
