@@ -63,23 +63,19 @@ def default_max_force(model: dmp.DmpModel) -> float:
     return 10.0 * model.alpha * model.beta * max(extent, 1e-6) / model.tau_nominal**2
 
 
-def apf_force(
-    x: np.ndarray,
-    obstacles,
-    t: float,
-    params: ApfParams,
-    delta_gamma: float = DEFAULT_DELTA_GAMMA,
-) -> np.ndarray:
-    """Summed repulsive acceleration from every active obstacle in range."""
+def apf_force(x, table, t: float, params: ApfParams) -> np.ndarray:
+    """Summed repulsive acceleration from every active obstacle in range of
+    ``x``, over the rows of :func:`~.safe_exec.obstacle_table`; ``d0=None``
+    is each row's clearance radius."""
     x = np.asarray(x, dtype=float)
     force = np.zeros(len(x))
-    for obs in obstacles:
-        if not obs.active(t):
+    for center0, vel, clearance, window, _, radius in table:
+        if window is not None and not window[0] <= t <= window[1]:
             continue
-        diff = x - obs.position(t)
+        diff = x - [c + v * t for c, v in zip(center0, vel)]
         dist = float(np.linalg.norm(diff))
-        d_surf = max(dist - obs.radius, SURFACE_DISTANCE_FLOOR)
-        d0 = params.d0 if params.d0 is not None else obs.radius + 0.5 * delta_gamma
+        d_surf = max(dist - radius, SURFACE_DISTANCE_FLOOR)
+        d0 = params.d0 if params.d0 is not None else clearance
         if d_surf >= d0:
             continue
         magnitude = params.eta * (1.0 / d_surf - 1.0 / d0) / d_surf**2
@@ -111,8 +107,6 @@ class ApfEngine(Engine):
     or its last point once the run outlasts it.
     """
 
-    method = "dmp-apf"
-
     def __init__(
         self,
         model: dmp.DmpModel,
@@ -124,11 +118,10 @@ class ApfEngine(Engine):
         delta_gamma: float = DEFAULT_DELTA_GAMMA,
         timed: bool = False,
     ):
-        super().__init__(model, obstacles, dt, goal_tol, timed)
+        super().__init__(model, obstacles, dt, goal_tol, timed, delta_gamma)
         self.params = params if params is not None else ApfParams()
         if self.params.max_force is None:
             self.params = replace(self.params, max_force=default_max_force(model))
-        self.delta_gamma = delta_gamma
         # the xn_* column of each step in turn: the reference's points, then
         # its last point for as long as the run lasts
         nominal = nominal_reference.points.tolist()
@@ -146,9 +139,7 @@ class ApfEngine(Engine):
         x = self._x_measured = list(map(float, x_measured))
         f_ext = dmp.forcing_at(model, dt, self._k, self.z)
         self._k += 1
-        f_apf = apf_force(
-            x, self.obstacles, t, self.params, delta_gamma=self.delta_gamma
-        ).tolist()
+        f_apf = apf_force(x, self._table, t, self.params).tolist()
         tau2 = tau**2
         f_total = [f_e + f_a * tau2 for f_e, f_a in zip(f_ext, f_apf)]
         self.z = dmp.phase_step(self.z, tau, dt, model.alpha_z)

@@ -440,20 +440,15 @@ def _step_cap(prepared: PreparedScenario) -> int:
 def run_scenario(
     prepared: PreparedScenario,
     method: str | None = None,
-    with_perturbations: bool = True,
-    with_obstacles: bool = True,
     with_timing: bool = False,
 ) -> safe_exec.ExecutionLog:
     """One run of the scenario; only ``with_timing`` fills the log's wall
     times (see :func:`build_engine`)."""
     scenario = prepared.scenario
-    if not with_obstacles:
-        scenario = replace(scenario, obstacles=())
-        prepared = replace(prepared, scenario=scenario)
     return safe_exec.run(
         build_engine(prepared, method, timed=with_timing),
         plant=_build_plant(scenario),
-        perturbations=scenario.perturbations if with_perturbations else (),
+        perturbations=scenario.perturbations,
         max_steps=_step_cap(prepared),
     )
 
@@ -488,9 +483,11 @@ def unperturbed_twin(
     """
     scenario = prepared.scenario
     if scenario.execution.plant != "ideal" or (with_obstacles and scenario.obstacles):
-        log = run_scenario(
-            prepared, method, with_perturbations=False, with_obstacles=with_obstacles
+        twin = replace(
+            scenario, perturbations=(),
+            obstacles=scenario.obstacles if with_obstacles else (),
         )
+        log = run_scenario(replace(prepared, scenario=twin), method)
         return trajectory.TimedTrajectory(log.t, log.x_measured), log.time_to_goal()
     nominal = prepared.nominal
     path = trajectory.TimedTrajectory(nominal.times[:-1], nominal.points[:-1])
@@ -613,23 +610,27 @@ def compare(
 
     Any exception outside :data:`errors.INPUT_ERRORS` propagates.  Each
     demonstration is learned once (see :func:`prepare`) and each scenario
-    planned once.
+    given is planned once.
     """
     learned: dict = {}
-    prepared_cache: dict[str, PreparedScenario] = {}
 
-    def cell(scenario, method):
+    def cell(prepared, method):
+        scenario = prepared.scenario
         try:
-            if scenario.name not in prepared_cache:
-                prepared_cache[scenario.name] = prepare(scenario, learned)
-            prepared = prepared_cache[scenario.name]
             log = run_scenario(prepared, method, with_timing=with_timing)
-            metrics = evaluate(prepared, log, method)
-            return ReportRow(scenario.name, method, metrics)
+            return ReportRow(scenario.name, method, evaluate(prepared, log, method))
         except INPUT_ERRORS as exc:  # recorded, not fatal
             return ReportRow(scenario.name, method, None, error=str(exc))
 
-    return [cell(s, m) for s in scenarios for m in methods]
+    rows = []
+    for scenario in scenarios:
+        try:
+            prepared = prepare(scenario, learned)
+        except INPUT_ERRORS as exc:
+            rows += [ReportRow(scenario.name, m, None, error=str(exc)) for m in methods]
+            continue
+        rows += [cell(prepared, method) for method in methods]
+    return rows
 
 
 def report_to_dict(rows) -> dict:

@@ -43,12 +43,11 @@ PROJECTION_TOL = 1e-9
 class Obstacle:
     """Sphere with optional constant drift and activity window.
 
-    The engine reads obstacles only once, into its obstacle table (see
+    An engine reads obstacles only once, into its obstacle table (see
     :func:`obstacle_table`), and :func:`run` reads them once more for the
-    log's clearance column (:func:`surface_clearance`); ``position`` serves
-    the potential-field baseline and callers that inspect a scenario.  In a
-    scenario document the center is ``center``, and a zero velocity and an
-    absent window are left out.
+    log's clearance column (:func:`surface_clearance`).  In a scenario
+    document the center is ``center``, and a zero velocity and an absent
+    window are left out.
     """
 
     center0: np.ndarray = field(metadata={"key": "center"})
@@ -90,18 +89,6 @@ class Obstacle:
     @property
     def d(self) -> int:
         return self.center0.shape[0]
-
-    def active(self, t: float) -> bool:
-        if self.active_window is None:
-            return True
-        t0, t1 = self.active_window
-        return t0 <= t <= t1
-
-    def position(self, t: float) -> np.ndarray:
-        """Center at time t; inactive obstacles report an infinity sentinel."""
-        if not self.active(t):
-            return np.full(self.d, np.inf)
-        return self.center0 + self.velocity * t
 
 
 @dataclass(frozen=True)
@@ -188,13 +175,14 @@ class ExecutionLog:
 
 
 def obstacle_table(obstacles, delta_gamma: float) -> list[tuple]:
-    """The engine's obstacle table: one plain-float row per obstacle.
+    """An engine's obstacle table: one plain-float row per obstacle.
 
-    A row is ``(center0, velocity, clearance, window, moving)``: center at
-    t=0 and velocity as tuples, the clearance radius (radius plus half the
-    tube width), the activity window or None, and whether the obstacle
-    moves.  Rows are plain tuples because the scan unpacks them on
-    every control step.
+    A row is ``(center0, velocity, clearance, window, moving, radius)``:
+    center at t=0 and velocity as tuples, the clearance radius (radius plus
+    half the tube width), the activity window or None, whether the obstacle
+    moves, and its radius.  :class:`Engine` builds it, and both control
+    laws scan it (:func:`worst_violation`, :func:`~.baselines.apf_force`)
+    on every step, so rows are plain tuples.
     """
     return [
         (
@@ -203,6 +191,7 @@ def obstacle_table(obstacles, delta_gamma: float) -> list[tuple]:
             o.radius + 0.5 * delta_gamma,
             o.active_window,
             bool(np.any(o.velocity != 0.0)),
+            o.radius,
         )
         for o in obstacles
     ]
@@ -220,7 +209,7 @@ def worst_violation(table, point, t: float):
     gap_min = math.inf
     w_center, w_dist, w_clearance = None, 0.0, 0.0
     sqrt = math.sqrt
-    for center0, vel, clearance, window, moving in table:
+    for center0, vel, clearance, window, moving, _ in table:
         if window is not None and not window[0] <= t <= window[1]:
             continue
         if moving:
@@ -400,14 +389,16 @@ class Engine:
     parameters, ``control`` and ``step``.
 
     The constructor checks the arguments every method shares (a positive
-    finite ``dt``, obstacles of the model's dimension) and sets up the
-    primitive's state as plain floats: phase ``z``, time scale ``tau``,
-    position ``_x``, velocity ``_v``, goal ``_g`` and ``_k``, the control
-    steps taken (the index into the forcing table).  ``control`` converts
-    each measurement to a float list, ``_x_measured``, which ``step`` logs
-    in its row of ``rows``.  With ``timed=True`` each ``control`` call
-    appends its wall time to ``step_seconds`` (see :func:`clocked`);
-    otherwise no step reads a clock and ``step_seconds`` stays empty.
+    finite ``dt``, obstacles of the model's dimension), builds ``_table``,
+    the :func:`obstacle_table` for tube width ``delta_gamma`` that both
+    control laws read, and sets up the primitive's state as plain floats:
+    phase ``z``, time scale ``tau``, position ``_x``, velocity ``_v``, goal
+    ``_g`` and ``_k``, the control steps taken (the index into the forcing
+    table).  ``control`` converts each measurement to a float list,
+    ``_x_measured``, which ``step`` logs in its row of ``rows``.  With
+    ``timed=True`` each ``control`` call appends its wall time to
+    ``step_seconds`` (see :func:`clocked`); otherwise no step reads a clock
+    and ``step_seconds`` stays empty.
     """
 
     def __init__(
@@ -417,6 +408,7 @@ class Engine:
         dt: float = DEFAULT_DT,
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
         timed: bool = False,
+        delta_gamma: float = DEFAULT_DELTA_GAMMA,
     ):
         self.obstacles = tuple(obstacles)
         if not 0.0 < dt < math.inf:
@@ -425,6 +417,7 @@ class Engine:
             raise InvalidInputError(
                 f"obstacle dimension must match the model's d={model.d}"
             )
+        self._table = obstacle_table(self.obstacles, delta_gamma)
         self.model = model
         self.dt = dt
         self.goal_tol = goal_tol
@@ -456,20 +449,18 @@ class SafeDmpEngine(Engine):
     term exactly zero under perfect tracking, and every issued command is
     itself projected clear of the clearance spheres.
 
-    Obstacles are read once into a single table of plain floats
-    (:func:`obstacle_table`); the control step works on plain float lists
-    and advances the primitive with the nominal integrator's own step, so
-    an obstacle-free run reproduces the nominal rollout bit for bit.  Until
-    the time scale first leaves ``tau_nominal`` the phase is on the nominal
-    grid and the forcing comes from the model's table (:func:`dmp.forcing_at`).
+    The control step screens and projects over the engine's obstacle table,
+    works on plain float lists and advances the primitive with the nominal
+    integrator's own step, so an obstacle-free run reproduces the nominal
+    rollout bit for bit.  Until the time scale first leaves ``tau_nominal``
+    the phase is on the nominal grid and the forcing comes from the model's
+    table (:func:`dmp.forcing_at`).
 
     :func:`run` hands :meth:`control` float lists, and :meth:`control`
     converts any float sequence to Python floats once, at its entry, so the
     state and the log rows hold only ``float``: a numpy scalar let in there
     would slow each later operation of the step several times.
     """
-
-    method = "safedmp"
 
     def __init__(
         self,
@@ -480,9 +471,8 @@ class SafeDmpEngine(Engine):
         goal_tol: float = dmp.DEFAULT_GOAL_TOL,
         timed: bool = False,
     ):
-        super().__init__(model, obstacles, dt, goal_tol, timed)
-        self.safety = safety if safety is not None else SafetyParams()
-        self._table = obstacle_table(self.obstacles, self.safety.delta_gamma)
+        self.safety = safety = safety if safety is not None else SafetyParams()
+        super().__init__(model, obstacles, dt, goal_tol, timed, safety.delta_gamma)
         # coupling error and the safe point the last command steered to
         self._ec = [0.0] * model.d
         self._x_safe_prev = self._x
@@ -573,7 +563,12 @@ class SafeDmpEngine(Engine):
 def surface_clearance(obstacles, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Distance from each ``x[k]`` to the nearest surface of an obstacle
     active at ``t[k]`` (inf if none), each squared distance summed in
-    dimension order as in :func:`worst_violation`."""
+    dimension order as in :func:`worst_violation`.
+
+    This is the measurement the safety claim is judged by, so it reads the
+    :class:`Obstacle` fields, not an engine's obstacle table: a fault in
+    the table cannot hide in the log's clearance column.
+    """
     best = np.full(t.shape, math.inf)
     for obs in obstacles:
         acc = 0.0
@@ -604,7 +599,9 @@ def run(
     ``engine.goal_tol`` of the goal by :func:`dmp.goal_distance`.  The plant
     realizes each command one control period later; perturbations displace
     the measured position for exactly one step.  Safety infeasibility flags
-    the log and stops the run instead of propagating.
+    the log and stops the run instead of propagating.  A start inside an
+    obstacle active at t=0 (by :func:`surface_clearance`) is an input error,
+    raised before the first step.
     Engines log ``4d+3`` columns per step; the ``min_clearance`` column is
     added here from the ``t`` and ``xm_*`` columns and ``engine.obstacles``.
     The log's wall times are the mean and p99 of a timed engine's
@@ -629,10 +626,16 @@ def run(
         # summed from 0.0 as the ndarray sums were: a -0.0 component adds as 0.0
         offsets[k] = [s + float(o) for s, o in zip(offsets.get(k, zero), pert.offset)]
 
-    x_measured = np.asarray(engine.initial_position(), dtype=float).tolist()
+    x0 = np.asarray(engine.initial_position(), dtype=float)
+    start_gap = surface_clearance(engine.obstacles, np.zeros(1), x0[None, :])[0]
+    if start_gap < 0.0:
+        raise InvalidInputError(
+            f"the start lies inside an obstacle ({-start_gap:.3g} m deep at t=0)"
+        )
+    x_measured = x0.tolist()
     if 0 in offsets:
         x_measured = [x + o for x, o in zip(x_measured, offsets[0])]
-    plant.reset(engine.initial_position())
+    plant.reset(x0)
 
     converged = False
     infeasible = False

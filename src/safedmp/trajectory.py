@@ -87,9 +87,9 @@ class TimedTrajectory:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def is_uniform(self, tol: float = UNIFORM_TOL) -> bool:
+    def is_uniform(self) -> bool:
         steps = np.diff(self.times)
-        return bool(np.max(np.abs(steps - steps.mean())) <= tol)
+        return bool(np.max(np.abs(steps - steps.mean())) <= UNIFORM_TOL)
 
     def mean_dt(self) -> float:
         return self.duration / (self.n - 1)

@@ -2,9 +2,73 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safedmp import baselines, bench, dmp, safe_exec
 from safedmp.errors import InvalidInputError
+
+
+def table(*obstacles, delta_gamma=safe_exec.DEFAULT_DELTA_GAMMA):
+    return safe_exec.obstacle_table(obstacles, delta_gamma)
+
+
+@st.composite
+def apf_cases(draw):
+    """Random static, moving and windowed spheres, a time, a point near one
+    of them, the force parameters and a tube width."""
+    d = draw(st.integers(1, 4))
+    vector = st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)
+    obstacles = []
+    for _ in range(draw(st.integers(1, 4))):
+        window = None
+        if draw(st.booleans()):
+            t0 = draw(st.floats(0.0, 10.0))
+            window = (t0, t0 + draw(st.floats(1e-3, 10.0)))
+        obstacles.append(safe_exec.Obstacle(
+            center0=draw(vector),
+            radius=draw(st.floats(1e-3, 1.0)),
+            velocity=draw(st.none() | vector),
+            active_window=window,
+        ))
+    # window edges are inclusive, so they are among the times drawn
+    edges = [t for o in obstacles if o.active_window for t in o.active_window]
+    t = draw(st.floats(0.0, 30.0) | st.sampled_from(edges or [0.0]))
+    near = draw(st.sampled_from(obstacles))
+    offset = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    x = (near.center0 + near.velocity * t + np.array(offset) * near.radius).tolist()
+    params = baselines.ApfParams(
+        eta=draw(st.floats(0.0, 1.0)),
+        d0=draw(st.none() | st.floats(1e-3, 2.0)),
+        max_force=draw(st.none() | st.floats(1e-3, 1e6)),
+    )
+    return obstacles, t, x, params, draw(st.floats(1e-3, 1.0))
+
+
+def reference_force(x, obstacles, t, params, delta_gamma):
+    """Reference: the potential-field law per obstacle, read off the
+    :class:`~safedmp.safe_exec.Obstacle` fields; the norm is numpy's."""
+    force = np.zeros(len(x))
+    for obs in obstacles:
+        if obs.active_window is not None and not (
+            obs.active_window[0] <= t <= obs.active_window[1]
+        ):
+            continue
+        diff = np.asarray(x) - (obs.center0 + obs.velocity * t)
+        dist = float(np.linalg.norm(diff))
+        d_surf = max(dist - obs.radius, baselines.SURFACE_DISTANCE_FLOOR)
+        d0 = obs.radius + 0.5 * delta_gamma if params.d0 is None else params.d0
+        if d_surf >= d0:
+            continue
+        magnitude = params.eta * (1.0 / d_surf - 1.0 / d0) / d_surf**2
+        if params.max_force is not None:
+            magnitude = min(magnitude, params.max_force)
+        for i in range(len(x)):
+            if dist < 1e-12:
+                force[i] += magnitude * float(i == len(x) - 1)
+            else:
+                force[i] += magnitude * (diff[i] / dist)
+    return force
 
 
 class TestApfForce:
@@ -12,14 +76,14 @@ class TestApfForce:
 
     def test_zero_outside_influence(self):
         obs = safe_exec.Obstacle(center0=[0.0, 0.0, 0.0], radius=0.05)
-        f = baselines.apf_force(np.array([1.0, 0.0, 0.0]), [obs], 0.0, self.params)
+        f = baselines.apf_force([1.0, 0.0, 0.0], table(obs), 0.0, self.params)
         np.testing.assert_array_equal(f, 0.0)
 
     def test_magnitude_at_half_influence(self):
         obs = safe_exec.Obstacle(center0=[0.0, 0.0, 0.0], radius=0.05)
         d0 = self.params.d0
         x = np.array([0.05 + d0 / 2.0, 0.0, 0.0])
-        f = baselines.apf_force(x, [obs], 0.0, self.params)
+        f = baselines.apf_force(x, table(obs), 0.0, self.params)
         expected = 0.01 * (1.0 / (d0 / 2.0) - 1.0 / d0) / (d0 / 2.0) ** 2
         assert f[0] == pytest.approx(expected, rel=1e-9)
         assert f[1] == 0.0 and f[2] == 0.0
@@ -29,7 +93,7 @@ class TestApfForce:
         obs = safe_exec.Obstacle(center0=[0.3, -0.2, 0.1], radius=0.05)
         for _ in range(50):
             x = obs.center0 + rng.normal(size=3) * 0.04
-            f = baselines.apf_force(x, [obs], 0.0, self.params)
+            f = baselines.apf_force(x, table(obs), 0.0, self.params)
             radial = x - obs.center0
             if np.linalg.norm(f) > 0:
                 cosine = f @ radial / (np.linalg.norm(f) * np.linalg.norm(radial))
@@ -41,7 +105,7 @@ class TestApfForce:
             safe_exec.Obstacle(center0=[0.5, -0.04, 0.25], radius=0.02),
         ]
         x = np.array([0.5, 0.0, 0.25])
-        f = baselines.apf_force(x, obstacles, 0.0, self.params)
+        f = baselines.apf_force(x, table(*obstacles), 0.0, self.params)
         assert f[1] == 0.0  # lateral components cancel exactly
         assert f[0] == 0.0 and f[2] == 0.0  # fully symmetric here
 
@@ -49,21 +113,31 @@ class TestApfForce:
         obs = safe_exec.Obstacle(center0=[0.0, 0.0, 0.0], radius=0.05)
         params = baselines.ApfParams(eta=0.01, d0=0.1, max_force=5.0)
         x = np.array([0.0500001, 0.0, 0.0])
-        f = baselines.apf_force(x, [obs], 0.0, params)
+        f = baselines.apf_force(x, table(obs), 0.0, params)
         assert np.linalg.norm(f) <= 5.0 + 1e-12
 
     def test_surface_floor_keeps_force_finite(self):
         obs = safe_exec.Obstacle(center0=[0.0, 0.0, 0.0], radius=0.05)
         params = baselines.ApfParams(eta=0.01, d0=0.1, max_force=None)
-        f = baselines.apf_force(np.array([0.05, 0.0, 0.0]), [obs], 0.0, params)
+        f = baselines.apf_force([0.05, 0.0, 0.0], table(obs), 0.0, params)
         assert np.all(np.isfinite(f))
 
     def test_inactive_obstacle_ignored(self):
         obs = safe_exec.Obstacle(
             center0=[0.0, 0.0, 0.0], radius=0.05, active_window=(5.0, 9.0)
         )
-        f = baselines.apf_force(np.array([0.06, 0.0, 0.0]), [obs], 0.0, self.params)
+        f = baselines.apf_force([0.06, 0.0, 0.0], table(obs), 0.0, self.params)
         np.testing.assert_array_equal(f, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(apf_cases())
+    def test_matches_obstacle_reference_bit_for_bit(self, case):
+        obstacles, t, x, params, delta_gamma = case
+        got = baselines.apf_force(
+            x, safe_exec.obstacle_table(obstacles, delta_gamma), t, params
+        )
+        expected = reference_force(x, obstacles, t, params, delta_gamma)
+        assert got.tobytes() == expected.tobytes()
 
     def test_param_validation(self):
         with pytest.raises(InvalidInputError):

@@ -13,9 +13,8 @@ from safedmp.errors import (
     InvalidInputError, SafetyInfeasibleError, UndefinedMetricError,
 )
 
-SCENARIO_PATHS = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")
-)
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIO_PATHS = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def line_traj(n=100, d=3, duration=1.0):
@@ -159,9 +158,8 @@ class TestUnperturbedTwin:
 
     @staticmethod
     def assert_derived_equals_simulated(prepared, method, monkeypatch):
-        log = bench.run_scenario(
-            prepared, method, with_perturbations=False, with_obstacles=False
-        )
+        bare = replace(prepared.scenario, perturbations=(), obstacles=())
+        log = bench.run_scenario(replace(prepared, scenario=bare), method)
         with monkeypatch.context() as patch:
             patch.setattr(bench, "run_scenario", None)  # the twin must not simulate
             path, time_to_goal = bench.unperturbed_twin(
@@ -202,7 +200,8 @@ class TestUnperturbedTwin:
         )
         prepared = bench.plan(scenario, sshape_model)
         path, time_to_goal = bench.unperturbed_twin(prepared, with_obstacles=False)
-        log = bench.run_scenario(prepared, with_perturbations=False)
+        assert not scenario.perturbations
+        log = bench.run_scenario(prepared)
         assert np.array_equal(path.points, log.x_measured)
         assert time_to_goal == log.time_to_goal()
         # the lag makes this twin differ from the rollout
@@ -413,6 +412,19 @@ class TestEvaluateAndCompare:
         assert len(rows) == 20 and all(r.error is None for r in rows)
         assert counts == {"preprocess": 3, "learn": 3}
 
+    def test_compare_plans_each_scenario_given(self):
+        # two scenarios that share a name keep their own plans and obstacles
+        free, static = (
+            bench.load_scenario(SCENARIO_DIR / f"{name}.json")
+            for name in ("free_sshape", "static_one_sshape")
+        )
+        static = replace(static, name=free.name)
+        together = bench.compare([free, static])
+        assert bench.report_to_json(together[2:]) == bench.report_to_json(
+            bench.compare([static])
+        )
+        assert together[2].metrics.min_clearance_m is not None
+
     def test_compare_records_cell_failures(self):
         bad = bench.Scenario(name="broken", demo_source="builtin:doesnotexist")
         rows = bench.compare([bad], methods=("safedmp",))
@@ -578,7 +590,7 @@ class TestGenerators:
         assert np.linalg.norm(obs.velocity) > 0
         traj = sshape_nominal.trajectory
         dists = [
-            np.linalg.norm(p - obs.position(t))
+            np.linalg.norm(p - (obs.center0 + obs.velocity * t))
             for t, p in zip(traj.times, traj.points)
         ]
         assert min(dists) < obs.radius + 0.05

@@ -214,10 +214,10 @@ class TestRun:
         assert code == cli.EXIT_INFEASIBLE
         assert (tmp_path / "jam_log.csv").exists()  # partial log still written
 
-    def test_infeasible_at_first_step_writes_log_and_metrics(self, tmp_path):
-        # clearance spheres 0.16 apart on the start-to-goal line around the
-        # start: the first target cannot be projected clear, so the run logs
-        # no step, and its log and metrics are still written
+    @staticmethod
+    def _boxed_start(tmp_path, near):
+        """A minjerk model and the path of a scenario with radius-0.1 spheres
+        centered ``near`` and 0.15 m from the start on the start-to-goal line."""
         model_out = tmp_path / "mj.json"
         run_cli("learn", "--demo", "builtin:minjerk", "--out", str(model_out))
         model = dmp.load_model(model_out)
@@ -226,11 +226,19 @@ class TestRun:
             name="boxed_start", demo_source="builtin:minjerk",
             obstacles=tuple(
                 safe_exec.Obstacle(center0=model.x0 + s * u, radius=0.1)
-                for s in (-0.01, 0.15)
+                for s in (near, 0.15)
             ),
         )
         spath = tmp_path / "boxed.json"
         bench.save_scenario(scenario, spath)
+        return model_out, spath, scenario
+
+    def test_infeasible_at_first_step_writes_log_and_metrics(self, tmp_path):
+        # clearance spheres 0.26 apart on the start-to-goal line around a
+        # start 0.01 m outside the near surface: the first target cannot be
+        # projected clear, so the run logs no step, and its log and metrics
+        # are still written
+        model_out, spath, scenario = self._boxed_start(tmp_path, -0.11)
         code = run_cli(
             "run", "--model", str(model_out), "--scenario", str(spath),
             "--out", str(tmp_path / "boxed"),
@@ -243,6 +251,20 @@ class TestRun:
         # the comparison grid reports the same cell instead of an error
         [row] = bench.compare([scenario], methods=("safedmp",))
         assert row.error is None and row.metrics.mae_nominal_m is None
+
+    def test_start_inside_an_obstacle_exits_2_and_writes_nothing(self, tmp_path):
+        # the start 0.01 m from the center of a radius-0.1 sphere
+        model_out, spath, scenario = self._boxed_start(tmp_path, -0.01)
+        for method in bench.METHODS:
+            code = run_cli(
+                "run", "--model", str(model_out), "--scenario", str(spath),
+                "--out", str(tmp_path / "boxed"), "--method", method,
+            )
+            assert code == cli.EXIT_INPUT
+            assert not list(tmp_path.glob("boxed_*"))
+        # the comparison grid records the input error in the cell's row
+        [row] = bench.compare([scenario], methods=("safedmp",))
+        assert row.metrics is None and "inside an obstacle" in row.error
 
     def test_exit_code_nonconvergence(self, tmp_path):
         model_out = tmp_path / "mj.json"

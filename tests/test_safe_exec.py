@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safedmp import bench, safe_exec
+from safedmp import baselines, bench, dmp, safe_exec
 from safedmp.errors import InvalidInputError, SafetyInfeasibleError
 
 import stt_oracle
@@ -17,23 +17,58 @@ def project(target, obstacles, delta_gamma, t=0.0, fallback=(0.0, 0.0, 1.0)):
 
 
 class TestObstacle:
+    """An obstacle's center and activity as the engine's table gives them."""
+
     def test_static_position(self):
         obs = safe_exec.Obstacle(center0=[1.0, 2.0, 3.0], radius=0.1)
-        np.testing.assert_array_equal(obs.position(0.0), [1, 2, 3])
-        np.testing.assert_array_equal(obs.position(7.5), [1, 2, 3])
+        table = safe_exec.obstacle_table([obs], 0.1)
+        for t in (0.0, 7.5):
+            assert safe_exec.worst_violation(table, [0.0, 0.0, 0.0], t)[1] == (1, 2, 3)
 
     def test_constant_velocity(self):
         obs = safe_exec.Obstacle(
             center0=[0.0, 0.0, 0.0], radius=0.1, velocity=[0.1, 0.0, 0.0]
         )
-        np.testing.assert_allclose(obs.position(2.0), [0.2, 0.0, 0.0])
+        table = safe_exec.obstacle_table([obs], 0.1)
+        center = safe_exec.worst_violation(table, [0.0, 0.0, 0.0], 2.0)[1]
+        np.testing.assert_allclose(center, [0.2, 0.0, 0.0])
 
     def test_inactive_reports_infinity(self):
         obs = safe_exec.Obstacle(
             center0=[0.0, 0.0, 0.0], radius=0.1, active_window=(1.0, 2.0)
         )
-        assert np.all(np.isinf(obs.position(0.5)))
-        assert np.all(np.isfinite(obs.position(1.5)))
+        table = safe_exec.obstacle_table([obs], 0.1)
+        origin = [0.0, 0.0, 0.0]
+        assert safe_exec.worst_violation(table, origin, 0.5)[:2] == (math.inf, None)
+        assert math.isfinite(safe_exec.worst_violation(table, origin, 1.5)[0])
+
+    def test_table_row(self):
+        obs = safe_exec.Obstacle(
+            center0=[1, 2, 3], radius=0.25, velocity=[0.5, 0, 0],
+            active_window=(1, 2),
+        )
+        still = safe_exec.Obstacle(center0=[0.0, 0.0], radius=0.125)
+        assert safe_exec.obstacle_table([obs], 0.1) == [
+            ((1.0, 2.0, 3.0), (0.5, 0.0, 0.0), 0.25 + 0.5 * 0.1, (1.0, 2.0),
+             True, 0.25),
+        ]
+        assert safe_exec.obstacle_table([still], 0.5) == [
+            ((0.0, 0.0), (0.0, 0.0), 0.375, None, False, 0.125),
+        ]
+        row = safe_exec.obstacle_table([obs], 0.1)[0]
+        assert all(type(v) is float for v in (*row[0], *row[1], row[2], row[5]))
+
+    def test_both_engines_read_one_table(self, straight_line_model):
+        obs = safe_exec.Obstacle(center0=[0.3, 0.1, 0.25], radius=0.05)
+        nominal = dmp.rollout(straight_line_model, 0.005).trajectory
+        safety = safe_exec.SafetyParams(delta_gamma=0.04)
+        engines = [
+            safe_exec.SafeDmpEngine(straight_line_model, safety, [obs]),
+            baselines.ApfEngine(straight_line_model, nominal, obstacles=[obs],
+                                delta_gamma=0.04),
+        ]
+        for engine in engines:
+            assert engine._table == safe_exec.obstacle_table([obs], 0.04)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -541,12 +576,13 @@ class TestRunLoop:
         assert log.steps >= 1  # partial log retained
 
     def test_infeasible_at_step_zero_gives_empty_log(self, straight_line_model):
-        # clearance spheres 0.16 apart on the path axis, with the first
-        # target between them: each push lands inside the other sphere
+        # clearance spheres 0.26 apart on the path axis around a start 0.01 m
+        # outside the near surface: each push of the first target lands
+        # inside the other sphere
         x0 = straight_line_model.x0
         obstacles = [
             safe_exec.Obstacle(center0=x0 + [dx, 0.0, 0.0], radius=0.1)
-            for dx in (-0.01, 0.15)
+            for dx in (-0.11, 0.15)
         ]
         engine = safe_exec.SafeDmpEngine(
             straight_line_model, obstacles=obstacles, dt=0.005
@@ -555,6 +591,28 @@ class TestRunLoop:
         assert log.safety_infeasible and not log.converged
         assert log.rows.shape == (0, 4 * 3 + 4)
         assert log.min_surface_clearance() == math.inf
+
+    @staticmethod
+    def _boxed_start(model, window=None):
+        # the start 0.01 m from the center of a radius-0.1 sphere
+        return safe_exec.SafeDmpEngine(model, dt=0.005, obstacles=[
+            safe_exec.Obstacle(center0=model.x0 + [dx, 0.0, 0.0], radius=0.1,
+                               active_window=window)
+            for dx in (-0.01, 0.15)
+        ])
+
+    @pytest.mark.parametrize("window", [None, (0.0, 1.0)])
+    def test_start_inside_an_obstacle_is_an_input_error(
+        self, straight_line_model, window
+    ):
+        engine = self._boxed_start(straight_line_model, window)
+        with pytest.raises(InvalidInputError, match="start lies inside an obstacle"):
+            safe_exec.run(engine)
+        assert engine.rows == []
+
+    def test_start_inside_a_later_obstacle_runs(self, straight_line_model):
+        engine = self._boxed_start(straight_line_model, window=(1.0, 2.0))
+        assert safe_exec.run(engine, max_steps=5).steps == 5
 
 
 # --- the log's clearance column -------------------------------------------------
