@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -122,6 +122,9 @@ class ApfEngine(Engine):
         self.params = params if params is not None else ApfParams()
         if self.params.max_force is None:
             self.params = replace(self.params, max_force=default_max_force(model))
+        d0 = self.params.d0
+        self.reach = max((row[2] if d0 is None else d0 for row in self._table),
+                         default=0.0)
         # the xn_* column of each step in turn: the reference's points, then
         # its last point for as long as the run lasts
         nominal = nominal_reference.points.tolist()
@@ -147,6 +150,10 @@ class ApfEngine(Engine):
             x, self._v, f_total, self._g, tau, dt, model.alpha, model.beta
         )
         return self._x
+
+    def seek(self, k: int, x: list, v: list, z: float) -> list:
+        super().seek(k, x, v, z)
+        return list(islice(self._nominal, k))
 
     def step(self, x_measured: Sequence[float], t: float) -> list:
         """Control computation plus one log row; returns the command, the

@@ -274,7 +274,8 @@ def oscillation_flag(log: safe_exec.ExecutionLog) -> bool:
     w = max(2, int(round(OSCILLATION_SMOOTH_S / dt)))
     csum = np.cumsum(vel, axis=0)
     smooth = np.empty_like(vel)
-    smooth[:w] = csum[:w] / np.arange(1, w + 1)[:, None]
+    # a log shorter than the span averages over all its steps
+    smooth[:w] = csum[:w] / np.arange(1, len(csum[:w]) + 1)[:, None]
     smooth[w:] = (csum[w:] - csum[:-w]) / w
     dots = np.einsum("ij,ij->i", vel, smooth)
     speed = np.linalg.norm(vel, axis=1)
@@ -317,8 +318,8 @@ def stall_detected(log: safe_exec.ExecutionLog) -> bool:
 class PreparedScenario:
     """Model and nominal plan shared by every run of one scenario.
 
-    ``nominal`` must be the rollout :func:`plan` makes (the scenario's dt,
-    goal tolerance and step cap): :func:`unperturbed_twin` reads runs off it.
+    ``rollout``, the source of ``nominal`` and ``nominal_converged`` in a
+    :func:`plan`, is what :func:`run_scenario` replays free prefixes from.
     """
 
     scenario: Scenario
@@ -326,6 +327,7 @@ class PreparedScenario:
     demo: trajectory.TimedTrajectory
     nominal: trajectory.TimedTrajectory
     nominal_converged: bool
+    rollout: dmp.RolloutResult | None = None
 
 
 def learn_demo(
@@ -391,6 +393,7 @@ def plan(
         demo=nominal.trajectory if demo is None else demo,
         nominal=nominal.trajectory,
         nominal_converged=nominal.converged,
+        rollout=nominal,
     )
 
 
@@ -450,6 +453,7 @@ def run_scenario(
         plant=_build_plant(scenario),
         perturbations=scenario.perturbations,
         max_steps=_step_cap(prepared),
+        nominal=prepared.rollout,
     )
 
 
@@ -473,28 +477,15 @@ def unperturbed_twin(
     method: str | None = None,
     with_obstacles: bool = True,
 ) -> tuple[trajectory.TimedTrajectory, float]:
-    """Measured path and time to goal of the scenario's unperturbed run.
-
-    Under the ideal plant an obstacle-free run reproduces the nominal
-    rollout bit for bit, for both methods, so it is read off
-    ``prepared.nominal`` instead of simulated.  The log holds the position
-    before each step, so the rollout's last point is never a measured
-    sample.  Runs with obstacles or under another plant are simulated.
-    """
+    """Measured path and time to goal of :func:`run_scenario` of the scenario
+    without perturbations, and without obstacles unless ``with_obstacles``."""
     scenario = prepared.scenario
-    if scenario.execution.plant != "ideal" or (with_obstacles and scenario.obstacles):
-        twin = replace(
-            scenario, perturbations=(),
-            obstacles=scenario.obstacles if with_obstacles else (),
-        )
-        log = run_scenario(replace(prepared, scenario=twin), method)
-        return trajectory.TimedTrajectory(log.t, log.x_measured), log.time_to_goal()
-    nominal = prepared.nominal
-    path = trajectory.TimedTrajectory(nominal.times[:-1], nominal.points[:-1])
-    if not prepared.nominal_converged:
-        return path, math.inf
-    # the float expression of ExecutionLog.time_to_goal: last t plus dt
-    return path, (nominal.n - 2) * scenario.dt + scenario.dt
+    twin = replace(
+        scenario, perturbations=(),
+        obstacles=scenario.obstacles if with_obstacles else (),
+    )
+    log = run_scenario(replace(prepared, scenario=twin), method)
+    return trajectory.TimedTrajectory(log.t, log.x_measured), log.time_to_goal()
 
 
 def evaluate(

@@ -429,9 +429,15 @@ def goal_distance(x, g, goal_tol: float) -> float:
 
 @dataclass(frozen=True)
 class RolloutResult:
+    """A rollout's points with their velocities and phases, its model and dt."""
+
     trajectory: TimedTrajectory
     converged: bool
     steps: int
+    velocities: list
+    phases: list
+    model: DmpModel
+    dt: float
 
 
 def rollout(
@@ -447,7 +453,8 @@ def rollout(
     or when the horizon elapses, in which case the result is flagged
     non-converged rather than raising.  The state is plain floats, stepped
     by :func:`attractor_step`, with the forcing of its own phase from
-    :func:`forcing_at`.
+    :func:`forcing_at`; the result keeps the velocity and phase of every
+    point, from which :func:`~.safe_exec.run` replays a run's free prefix.
     """
     if not 0.0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
@@ -462,7 +469,7 @@ def rollout(
     x = model.x0.tolist()
     v = [0.0] * model.d
     z = 1.0
-    positions = [x]
+    positions, velocities, phases = [x], [v], [z]
     for k in range(max_steps):
         if stop_at_goal and goal_distance(x, g, goal_tol) < goal_tol:
             break
@@ -470,12 +477,15 @@ def rollout(
         x, v = attractor_step(x, v, f, g, tau, dt, alpha, beta)
         z = phase_step(z, tau, dt, alpha_z)
         positions.append(x)
+        velocities.append(v)
+        phases.append(z)
     converged = goal_distance(x, g, goal_tol) < goal_tol
     times = np.arange(len(positions)) * dt
     return RolloutResult(
         trajectory=TimedTrajectory(times, np.asarray(positions)),
         converged=converged,
         steps=len(positions) - 1,
+        velocities=velocities, phases=phases, model=model, dt=dt,
     )
 
 

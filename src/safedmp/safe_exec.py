@@ -398,7 +398,8 @@ class Engine:
     ``_x_measured``, which ``step`` logs in its row of ``rows``.  With
     ``timed=True`` each ``control`` call appends its wall time to
     ``step_seconds`` (see :func:`clocked`); otherwise no step reads a clock
-    and ``step_seconds`` stays empty.
+    and ``step_seconds`` stays empty.  A method sets ``reach``, a surface
+    clearance at and above which its control law ignores an obstacle.
     """
 
     def __init__(
@@ -423,6 +424,7 @@ class Engine:
         self.goal_tol = goal_tol
         self.rows: list[tuple] = []
         self.step_seconds: list[float] = []
+        self.timed = timed
         if timed:
             self.control = clocked(self.control, self.step_seconds)
         self._k = 0
@@ -439,6 +441,12 @@ class Engine:
     def goal_distance(self) -> float:
         """Distance of the primitive to the goal (:func:`dmp.goal_distance`)."""
         return dmp.goal_distance(self._x, self._g, self.goal_tol)
+
+    def seek(self, k: int, x: list, v: list, z: float):
+        """Take the state after ``k`` steps with nothing to correct, a
+        rollout's ``x_k``, ``v_k`` and ``z_k``; :func:`run` logs their rows.
+        Returns their ``xn_*`` columns if not the rollout's points."""
+        self._k, self._x, self._v, self.z = k, x, v, z
 
 
 class SafeDmpEngine(Engine):
@@ -482,6 +490,7 @@ class SafeDmpEngine(Engine):
         self._fallback[-1] = 1.0
         self._gains = (model.alpha, model.beta, model.alpha_z)
         self._coupling = (model.alpha_e, model.k_c, model.tau_nominal)
+        self.reach = 0.5 * safety.delta_gamma
 
     def control(self, x_measured: Sequence[float], t: float) -> tuple:
         """One control computation; advances the internal state.
@@ -539,6 +548,10 @@ class SafeDmpEngine(Engine):
         self._x_safe_prev = x_safe
         return x_desired, x, x_target, x_safe, u
 
+    def seek(self, k: int, x: list, v: list, z: float):
+        super().seek(k, x, v, z)
+        self._x_safe_prev = x
+
     def _note_motion(self, x_safe) -> None:
         d = len(x_safe)
         motion = [x_safe[i] - self._x_safe_prev[i] for i in range(d)]
@@ -583,11 +596,43 @@ def surface_clearance(obstacles, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return best
 
 
+def _free_prefix(engine, nominal, offsets: dict, max_steps: int) -> np.ndarray:
+    """The rows of the run's first steps that the rollout ``nominal`` holds,
+    with ``engine`` moved past them (:meth:`Engine.seek`).  Step k is free
+    while no perturbation has come and no obstacle is within the engine's
+    ``reach`` (plus rounding slack) of ``x_k`` or ``x_{k+1}`` at ``t_k``;
+    the prefix ends at the rollout's end, the step cap, or the first
+    ``x_{k+1}`` that passes :func:`run`'s goal test.
+    """
+    points, goal_tol = nominal.trajectory.points, engine.goal_tol
+    n = max(0, min(max_steps, nominal.steps, *offsets))
+    dist = np.linalg.norm(points[1:n + 1] - engine.model.g, axis=1)
+    for k in np.flatnonzero(dist <= 2.0 * max(goal_tol, dmp.GOAL_SCREEN_FLOOR)):
+        if dmp.goal_distance(points[k + 1].tolist(), engine._g, goal_tol) <= goal_tol:
+            n = int(k) + 1
+            break
+    if engine.obstacles:
+        t = np.arange(n) * engine.dt
+        clear = np.minimum(surface_clearance(engine.obstacles, t, points[:n]),
+                           surface_clearance(engine.obstacles, t, points[1:n + 1]))
+        slack = 1e-9 * (1.0 + engine.reach + max(o.radius for o in engine.obstacles))
+        blocked = np.flatnonzero(~(clear >= engine.reach + slack))
+        n = int(blocked[0]) if blocked.size else n
+    xn = engine.seek(n, points[n].tolist(), nominal.velocities[n], nominal.phases[n])
+    return np.column_stack((
+        np.arange(n) * engine.dt,
+        points[:n] if xn is None else np.reshape(xn, (n, engine.model.d)),
+        points[1:n + 1], points[1:n + 1], points[:n],
+        np.full(n, engine.tau), nominal.phases[1:n + 1],
+    ))
+
+
 def run(
     engine,
     plant=None,
     perturbations=(),
     max_steps: int | None = None,
+    nominal: dmp.RolloutResult | None = None,
 ) -> ExecutionLog:
     """Drive an :class:`Engine` against a simulated plant until the goal or
     a cap.
@@ -606,6 +651,11 @@ def run(
     added here from the ``t`` and ``xm_*`` columns and ``engine.obstacles``.
     The log's wall times are the mean and p99 of a timed engine's
     ``step_seconds``, and None for an untimed one.
+
+    ``nominal`` is None or a rollout of ``engine.model`` at ``engine.dt``,
+    from which an untimed engine under :class:`IdealPlant` replays the run's
+    free prefix (:func:`_free_prefix`) instead of stepping it: a free step
+    is the rollout's step, bit for bit, so the log is the stepped run's.
     """
     if plant is None:
         plant = IdealPlant()
@@ -632,16 +682,25 @@ def run(
         raise InvalidInputError(
             f"the start lies inside an obstacle ({-start_gap:.3g} m deep at t=0)"
         )
-    x_measured = x0.tolist()
-    if 0 in offsets:
-        x_measured = [x + o for x, o in zip(x_measured, offsets[0])]
     plant.reset(x0)
 
-    converged = False
-    infeasible = False
+    width = 4 * model.d + 3
+    prefix = np.empty((0, width))
+    if (nominal is not None and type(plant) is IdealPlant and not engine.timed
+            and nominal.model is model and nominal.dt == dt):
+        prefix = _free_prefix(engine, nominal, offsets, max_steps)
+    m = len(prefix)
+    x_measured = (nominal.trajectory.points[m] if m else x0).tolist()
+    if m in offsets:
+        x_measured = [x + o for x, o in zip(x_measured, offsets[m])]
+
     step, track, goal_distance = engine.step, plant.track, engine.goal_distance
     g = model.g.tolist()
-    for k in range(max_steps):
+    # the goal test that ended the prefix's last step, as in the loop
+    converged = m > 0 and (goal_distance() <= goal_tol
+                           and dmp.goal_distance(x_measured, g, goal_tol) <= goal_tol)
+    infeasible = False
+    for k in range(max_steps if converged else m, max_steps):
         try:
             x_desired = step(x_measured, k * dt)
         except SafetyInfeasibleError:
@@ -655,10 +714,10 @@ def run(
             converged = True
             break
 
-    width = 4 * model.d + 3
-    rows = np.fromiter(
+    stepped = np.fromiter(
         chain.from_iterable(engine.rows), float, count=len(engine.rows) * width
     ).reshape(-1, width)
+    rows = np.concatenate((prefix, stepped))
     x_measured = rows[:, 1 + 3 * model.d: 1 + 4 * model.d]
     clearance = surface_clearance(engine.obstacles, rows[:, 0], x_measured)
     seconds = engine.step_seconds

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from safedmp import bench, dmp, safe_exec
+from safedmp import baselines, bench, dmp, safe_exec
 from safedmp import trajectory as tj
 from safedmp.errors import (
     InvalidInputError, SafetyInfeasibleError, UndefinedMetricError,
@@ -153,22 +153,43 @@ def canned_prepared():
     return {p.stem: bench.prepare(bench.load_scenario(p)) for p in SCENARIO_PATHS}
 
 
+def count_controls(patch) -> list:
+    """The times of every engine ``control`` call while ``patch`` holds."""
+    calls = []
+    for engine in (safe_exec.SafeDmpEngine, baselines.ApfEngine):
+        def counting(self, x_measured, t, control=engine.control):
+            calls.append(t)
+            return control(self, x_measured, t)
+
+        patch.setattr(engine, "control", counting)
+    return calls
+
+
 class TestUnperturbedTwin:
-    """Under the ideal plant the obstacle-free twin is the nominal rollout."""
+    """A twin is the stepped run of the twin scenario; under the ideal plant
+    an obstacle-free twin replays the whole rollout."""
 
     @staticmethod
-    def assert_derived_equals_simulated(prepared, method, monkeypatch):
-        bare = replace(prepared.scenario, perturbations=(), obstacles=())
-        log = bench.run_scenario(replace(prepared, scenario=bare), method)
-        with monkeypatch.context() as patch:
-            patch.setattr(bench, "run_scenario", None)  # the twin must not simulate
-            path, time_to_goal = bench.unperturbed_twin(
-                prepared, method, with_obstacles=False
+    def assert_twin_equals_stepped_run(prepared, method, monkeypatch):
+        for with_obstacles in (False, True):
+            twin = replace(
+                prepared.scenario, perturbations=(),
+                obstacles=prepared.scenario.obstacles if with_obstacles else (),
             )
-        assert np.array_equal(path.times, log.t)
-        assert np.array_equal(path.points, log.x_measured)
-        assert time_to_goal == log.time_to_goal()
-        assert prepared.nominal_converged == log.converged
+            log = bench.run_scenario(
+                replace(prepared, scenario=twin, rollout=None), method
+            )
+            with monkeypatch.context() as patch:
+                calls = count_controls(patch)
+                path, time_to_goal = bench.unperturbed_twin(
+                    prepared, method, with_obstacles
+                )
+            assert np.array_equal(path.times, log.t)
+            assert np.array_equal(path.points, log.x_measured)
+            assert time_to_goal == log.time_to_goal()
+            if not twin.obstacles:
+                assert calls == []  # replayed, not stepped
+                assert prepared.nominal_converged == log.converged
 
     def test_ten_canned_scenarios(self):
         assert len(SCENARIO_PATHS) == 10
@@ -180,7 +201,7 @@ class TestUnperturbedTwin:
     ):
         prepared = canned_prepared[name]
         assert prepared.scenario.execution.plant == "ideal"
-        self.assert_derived_equals_simulated(prepared, method, monkeypatch)
+        self.assert_twin_equals_stepped_run(prepared, method, monkeypatch)
 
     @pytest.mark.parametrize("method", bench.METHODS)
     def test_step_cap_follows_horizon_factor(self, method, sshape_model, monkeypatch):
@@ -191,7 +212,7 @@ class TestUnperturbedTwin:
         prepared = bench.plan(scenario, sshape_model)
         assert not prepared.nominal_converged
         assert prepared.nominal.n - 1 == round(0.5 * sshape_model.tau_nominal / 0.005)
-        self.assert_derived_equals_simulated(prepared, method, monkeypatch)
+        self.assert_twin_equals_stepped_run(prepared, method, monkeypatch)
         assert bench.unperturbed_twin(prepared, method)[1] == math.inf
 
     def test_lag_plant_twin_is_simulated(self, sshape_model):
@@ -287,6 +308,15 @@ class TestOscillationAndStall:
         measured = np.column_stack([np.zeros(n), y, np.zeros(n)])
         log = synthetic_log(times, measured, [1.0, 0, 0], dt)
         assert bench.oscillation_flag(log)
+
+    @pytest.mark.parametrize("n", [3, 10, 20, 21])
+    def test_log_shorter_than_the_smoothing_span(self, n):
+        # 0.1 s smoothing at dt=0.005 averages 20 velocities
+        dt = 0.005
+        times = np.arange(n) * dt
+        measured = np.column_stack([0.2 * times, np.zeros(n), np.zeros(n)])
+        log = synthetic_log(times, measured, [5.0, 0, 0], dt)
+        assert not bench.oscillation_flag(log)
 
     def test_single_smooth_turn_not_flagged(self):
         dt = 0.005

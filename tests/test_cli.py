@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -6,9 +7,12 @@ import math
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safedmp import bench, cli, dmp, safe_exec, trajectory
 from safedmp.errors import ParseError
@@ -566,20 +570,26 @@ def test_dimension_mismatch_rejected(
 
 
 class TestRunSimulationCount:
-    """``safedmp run`` simulates its main run once, plus only the twins."""
+    """``safedmp run`` simulates its main run once, plus only the twins;
+    under the ideal plant an obstacle-free twin replays the rollout."""
 
     @staticmethod
     def count_runs(monkeypatch, *argv):
-        calls = []
+        """(rows, control calls) of each ``safe_exec.run`` of the command."""
+        runs = []
         original = safe_exec.run
 
-        def counting_run(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting_run(engine, *args, **kwargs):
+            calls = []
+            control = engine.control
+            engine.control = lambda x, t: calls.append(t) or control(x, t)
+            log = original(engine, *args, **kwargs)
+            runs.append((log.steps, len(calls)))
+            return log
 
         monkeypatch.setattr(safe_exec, "run", counting_run)
         assert run_cli(*argv) == 0
-        return len(calls)
+        return runs
 
     def test_free_scenario_runs_once(self, monkeypatch, tmp_path):
         model_out = tmp_path / "mj.json"
@@ -589,7 +599,8 @@ class TestRunSimulationCount:
             "--scenario", str(SCENARIO_DIR / "free_minjerk.json"),
             "--out", str(tmp_path / "free"),
         )
-        assert runs == 1
+        assert len(runs) == 1
+        assert runs[0][0] > 0 and runs[0][1] == 0  # replayed in full
 
     @staticmethod
     def kicked_scenario(tmp_path, plant="ideal"):
@@ -612,7 +623,10 @@ class TestRunSimulationCount:
             "--scenario", str(SCENARIO_DIR / f"{name}.json"),
             "--out", str(tmp_path / name),
         )
-        assert runs == 1
+        # main run and one obstacle-free twin, which calls no control
+        assert len(runs) == 2
+        assert 0 < runs[0][1] < runs[0][0]
+        assert runs[1][0] > 0 and runs[1][1] == 0
 
     def test_obstacles_and_perturbations_run_main_and_unperturbed_twin(
         self, model_path, monkeypatch, tmp_path
@@ -622,9 +636,10 @@ class TestRunSimulationCount:
             "--scenario", str(self.kicked_scenario(tmp_path)),
             "--out", str(tmp_path / "kicked"),
         )
-        # main run and the unperturbed twin with obstacles; the obstacle-free
-        # twin is the nominal rollout
-        assert runs == 2
+        # main run, the unperturbed twin with obstacles and the obstacle-free
+        # twin; only the last replays the whole rollout
+        assert len(runs) == 3
+        assert [calls == 0 for _, calls in runs] == [False, False, True]
 
     def test_lag_plant_runs_main_and_two_twins(self, model_path, monkeypatch, tmp_path):
         runs = self.count_runs(
@@ -632,7 +647,9 @@ class TestRunSimulationCount:
             "--scenario", str(self.kicked_scenario(tmp_path, "first-order-lag")),
             "--out", str(tmp_path / "kicked"),
         )
-        assert runs == 3  # main run, unperturbed twin, obstacle-free twin
+        # main run, unperturbed twin, obstacle-free twin: all stepped
+        assert len(runs) == 3
+        assert all(steps == calls > 0 for steps, calls in runs)
 
 
 class TestBench:
@@ -706,3 +723,79 @@ def test_cached_parser_dispatches_to_current_command(monkeypatch, tmp_path):
     assert run_cli("run", "--model", "m.json", "--scenario", "s.json",
                    "--out", str(tmp_path / "run")) == 7
     assert cli.build_parser() is cli.build_parser()
+
+
+coordinate = st.floats(-1.0, 1.0)
+vector = st.lists(coordinate, min_size=3, max_size=3)
+
+
+@st.composite
+def scenario_document(draw, path, tau):
+    """A scenario document with a short horizon, either plant, obstacles
+    near the nominal ``path`` (some overlapping) and perturbations (at t=0
+    among others) for a model of time scale ``tau``."""
+    factor = draw(st.floats(0.05, 2.0))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 3))):
+        center = path[draw(st.integers(0, len(path) - 1))]
+        if obstacles and draw(st.booleans()):  # next to the last one
+            center = np.array(obstacles[-1]["center"])
+        obstacle = {
+            "center": (center + 0.1 * np.array(draw(vector))).tolist(),
+            "radius": draw(st.floats(0.005, 0.12)),
+        }
+        if draw(st.booleans()):
+            obstacle["velocity"] = (0.3 * np.array(draw(vector))).tolist()
+        if draw(st.booleans()):
+            t0 = draw(st.floats(0.0, 2.0))
+            obstacle["active_window"] = [t0, t0 + draw(st.floats(0.01, 2.0))]
+        obstacles.append(obstacle)
+    # past the horizon is an input error
+    t_apply = st.just(0.0) | st.floats(0.0, 1.1 * factor * tau)
+    perturbations = [
+        {"t_apply": draw(t_apply), "offset": (0.1 * np.array(draw(vector))).tolist()}
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return {
+        "method": draw(st.sampled_from(bench.METHODS)),
+        "dt": draw(st.sampled_from([0.004, 0.005, 0.01])),
+        "obstacles": obstacles,
+        "perturbations": perturbations,
+        "safety": {"delta_gamma": draw(st.floats(0.01, 0.3))},
+        "apf": {"d0": draw(st.none() | st.floats(0.01, 0.3))},
+        "execution": {
+            "goal_tol": draw(st.floats(1e-4, 0.1)),
+            "max_horizon_factor": factor,
+            "plant": draw(st.sampled_from(["ideal", "first-order-lag"])),
+        },
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_fuzz_exits_with_a_code_and_logs_the_stepped_run(data, model_path):
+    """Every document ends in exit 0, 2, 3 or 4, never a traceback; an
+    ideal-plant log holds the rows of the run stepped from its first step."""
+    model = dmp.load_model(model_path)
+    path = dmp.rollout(model, 0.005).trajectory.points
+    doc = data.draw(scenario_document(path, model.tau_nominal))
+    with tempfile.TemporaryDirectory() as tmp:
+        spath = pathlib.Path(tmp) / "fuzz.json"
+        spath.write_text(json.dumps(doc), encoding="utf-8")
+        prefix = pathlib.Path(tmp) / "fuzz"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli("run", "--model", str(model_path), "--scenario",
+                           str(spath), "--out", str(prefix))
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_INFEASIBLE,
+                        cli.EXIT_NONCONVERGED)
+        if code == cli.EXIT_INPUT or doc["execution"]["plant"] != "ideal":
+            return
+        rows = cli.read_log_csv(prefix.with_name("fuzz_log.csv"))
+    prepared = bench.plan(bench.scenario_from_dict(doc, name="fuzz"), model)
+    stepped = bench.run_scenario(dataclasses.replace(prepared, rollout=None))
+    assert np.array_equal(rows.view(np.int64), stepped.rows.view(np.int64))
+    if stepped.safety_infeasible:
+        assert code == cli.EXIT_INFEASIBLE
+    else:
+        assert code == (cli.EXIT_OK if stepped.converged else cli.EXIT_NONCONVERGED)
