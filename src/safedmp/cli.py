@@ -78,6 +78,8 @@ def read_log_csv(path) -> np.ndarray:
 
 
 def cmd_learn(args) -> int:
+    if args.seed < 0:
+        raise InvalidInputError(f"--seed must be non-negative, got {args.seed}")
     rotation = None
     if args.rotate_random:
         from scipy.spatial.transform import Rotation

@@ -40,11 +40,6 @@ DEFAULT_HORIZON_FACTOR = 20.0
 #: :func:`step_cap` rejects a horizon and ``dt`` that need more.
 MAX_RUN_STEPS = 1_000_000
 
-#: Goal distances at or below this are never taken from the ``math.dist``
-#: screen of :func:`goal_distance`: the squares summed by the exact path can
-#: underflow there, so that path may decide differently.
-GOAL_SCREEN_FLOOR = 1e-150
-
 #: Dimensions with goal-to-start amplitude below this are left unforced.
 ZERO_AMPLITUDE_TOL = 1e-9
 
@@ -413,20 +408,6 @@ def step_cap(horizon: float, dt: float) -> int:
     return max(1, int(round(steps)))
 
 
-def goal_distance(x, g, goal_tol: float) -> float:
-    """``sqrt((x - g) . (x - g))`` as numpy computes it, within ``2 goal_tol``
-    of the goal.  Farther out it is :func:`math.dist`: the two differ only by
-    rounding, far less than that factor of 2, or where numpy's squares
-    overflow to inf, so a test against ``goal_tol`` decides the same.  At or
-    below :data:`GOAL_SCREEN_FLOOR` the numpy value is returned whatever the
-    tolerance, since its squares may underflow."""
-    far = math.dist(x, g)
-    if far > 2.0 * goal_tol and far > GOAL_SCREEN_FLOOR:
-        return far
-    diff = np.subtract(x, g)
-    return math.sqrt(diff.dot(diff))
-
-
 @dataclass(frozen=True)
 class RolloutResult:
     """A rollout's points with their velocities and phases, its model and dt."""
@@ -449,12 +430,13 @@ def rollout(
 ) -> RolloutResult:
     """Integrate the obstacle-free primitive from rest at x0.
 
-    Stops once ``||x - g|| < goal_tol`` (unless ``stop_at_goal`` is False)
-    or when the horizon elapses, in which case the result is flagged
-    non-converged rather than raising.  The state is plain floats, stepped
-    by :func:`attractor_step`, with the forcing of its own phase from
-    :func:`forcing_at`; the result keeps the velocity and phase of every
-    point, from which :func:`~.safe_exec.run` replays a run's free prefix.
+    Stops once ``math.dist(x, g) <= goal_tol``, the package's one goal test
+    (unless ``stop_at_goal`` is False), or when the horizon elapses, in
+    which case the result is flagged non-converged rather than raising.
+    The state is plain floats, stepped by :func:`attractor_step`, with the
+    forcing of its own phase from :func:`forcing_at`; the result keeps the
+    velocity and phase of every point, from which :func:`~.safe_exec.run`
+    replays a run's free prefix.
     """
     if not 0.0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
@@ -471,7 +453,7 @@ def rollout(
     z = 1.0
     positions, velocities, phases = [x], [v], [z]
     for k in range(max_steps):
-        if stop_at_goal and goal_distance(x, g, goal_tol) < goal_tol:
+        if stop_at_goal and math.dist(x, g) <= goal_tol:
             break
         f = forcing_at(model, dt, k, z, max_steps)
         x, v = attractor_step(x, v, f, g, tau, dt, alpha, beta)
@@ -479,7 +461,7 @@ def rollout(
         positions.append(x)
         velocities.append(v)
         phases.append(z)
-    converged = goal_distance(x, g, goal_tol) < goal_tol
+    converged = math.dist(x, g) <= goal_tol
     times = np.arange(len(positions)) * dt
     return RolloutResult(
         trajectory=TimedTrajectory(times, np.asarray(positions)),

@@ -400,6 +400,8 @@ class Engine:
     ``step_seconds`` (see :func:`clocked`); otherwise no step reads a clock
     and ``step_seconds`` stays empty.  A method sets ``reach``, a surface
     clearance at and above which its control law ignores an obstacle.
+    :meth:`goal_distance` is the primitive's side of the package's one goal
+    test, ``math.dist(x, g) <= goal_tol``.
     """
 
     def __init__(
@@ -439,8 +441,8 @@ class Engine:
         return self.model.x0.copy()
 
     def goal_distance(self) -> float:
-        """Distance of the primitive to the goal (:func:`dmp.goal_distance`)."""
-        return dmp.goal_distance(self._x, self._g, self.goal_tol)
+        """Distance of the primitive to the goal, ``math.dist(x, g)``."""
+        return math.dist(self._x, self._g)
 
     def seek(self, k: int, x: list, v: list, z: float):
         """Take the state after ``k`` steps with nothing to correct, a
@@ -606,9 +608,11 @@ def _free_prefix(engine, nominal, offsets: dict, max_steps: int) -> np.ndarray:
     """
     points, goal_tol = nominal.trajectory.points, engine.goal_tol
     n = max(0, min(max_steps, nominal.steps, *offsets))
-    dist = np.linalg.norm(points[1:n + 1] - engine.model.g, axis=1)
-    for k in np.flatnonzero(dist <= 2.0 * max(goal_tol, dmp.GOAL_SCREEN_FLOOR)):
-        if dmp.goal_distance(points[k + 1].tolist(), engine._g, goal_tol) <= goal_tol:
+    # the largest coordinate gap is at most math.dist, with no squares to
+    # overflow or underflow, so the screen keeps every point that passes
+    gap = np.abs(points[1:n + 1] - engine.model.g).max(axis=1)
+    for k in np.flatnonzero(gap <= 2.0 * goal_tol):
+        if math.dist(points[k + 1].tolist(), engine._g) <= goal_tol:
             n = int(k) + 1
             break
     if engine.obstacles:
@@ -640,8 +644,8 @@ def run(
     The package's one closed loop: every engine run, and every step that
     :func:`~.bench.timing_harness` times, is one ``engine.step`` call here
     (the engine logs one row, and a timed engine times its ``control``
-    call).  The run ends once the engine and the plant are both within
-    ``engine.goal_tol`` of the goal by :func:`dmp.goal_distance`.  The plant
+    call).  The run ends once the engine and the plant both pass the one
+    goal test, ``math.dist(x, g) <= engine.goal_tol``.  The plant
     realizes each command one control period later; perturbations displace
     the measured position for exactly one step.  Safety infeasibility flags
     the log and stops the run instead of propagating.  A start inside an
@@ -698,7 +702,7 @@ def run(
     g = model.g.tolist()
     # the goal test that ended the prefix's last step, as in the loop
     converged = m > 0 and (goal_distance() <= goal_tol
-                           and dmp.goal_distance(x_measured, g, goal_tol) <= goal_tol)
+                           and math.dist(x_measured, g) <= goal_tol)
     infeasible = False
     for k in range(max_steps if converged else m, max_steps):
         try:
@@ -709,8 +713,7 @@ def run(
         x_measured = track(x_desired)
         if k + 1 in offsets:
             x_measured = [x + o for x, o in zip(x_measured, offsets[k + 1])]
-        if (goal_distance() <= goal_tol
-                and dmp.goal_distance(x_measured, g, goal_tol) <= goal_tol):
+        if goal_distance() <= goal_tol and math.dist(x_measured, g) <= goal_tol:
             converged = True
             break
 

@@ -71,6 +71,14 @@ class TestLearn:
                 "--rotate-random", "--seed", "5")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli("learn", "--demo", "builtin:minjerk", "--out", str(out),
+                       "--rotate-random", "--seed", "-1")
+        assert code == cli.EXIT_INPUT
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_obstacle_free(self, model_path, tmp_path):

@@ -1,10 +1,9 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safedmp import baselines, bench, dmp, safe_exec
@@ -358,8 +357,8 @@ def is_float_row(f, d):
     return type(f) is tuple and len(f) == d and all(type(v) is float for v in f)
 
 
-#: Tolerances where the screen's threshold ``(2 tol)^2`` or ``tol^2`` is
-#: subnormal, underflows to 0 or overflows to inf.
+#: Tolerances whose square ``tol^2`` or ``(2 tol)^2`` is subnormal,
+#: underflows to 0 or overflows to inf.
 EDGE_TOLERANCES = [1e-300, 1e-162, 2.3e-162, 3.2e-162, 1e-154, 1.5e-154, 1e200]
 
 
@@ -397,46 +396,13 @@ def goal_screen_cases(draw):
     return [g_i + v for g_i, v in zip(g, diff)], g, tol
 
 
-class TestGoalScreen:
-    """The one goal test (the rollout's, both engines' and the plant's in
-    :func:`safe_exec.run`) screens with :func:`math.dist` before numpy's
-    ``dot``."""
-
-    @settings(max_examples=2000, deadline=None)
-    @given(goal_screen_cases())
-    # norm exactly tol, where the Python sum of squares exceeds tol^2 by one
-    # rounding but numpy's dot does not: a screen at tol^2 would say False
-    @example(([-0.932158542083182, -1.0789223323024337, -0.13267350846900128,
-               -1.073982123854555, 0.31050116002270167, 0.43500927398523714],
-              [0.0] * 6, 1.8680676775097813))
-    @example(([-1.4848707014504097, 19.222735856455497, -16.255620580655286,
-               -11.612230842000997, -8.719300139335266, -4.046408418698682],
-              [0.0] * 6, 29.38038693427907))
-    # subnormal tolerance: the exact squares underflow to 0, so the exact
-    # path says "at the goal" although math.dist says 1e-170
-    @example(([1e-170, 0.0, 0.0], [0.0] * 3, 1e-310))
-    # overflowing difference: the exact squares are inf, math.dist is finite
-    @example(([1.7e308, -1.7e308, 1e154], [0.0, 5.0, -5.0], 1e200))
-    def test_screen_never_changes_the_decision(self, case):
-        x, g, tol = case
-        with np.errstate(all="ignore"):
-            diff = np.subtract(x, g)
-            reference = math.sqrt(diff.dot(diff))
-            distance = dmp.goal_distance(x, g, tol)
-        assert (distance < tol) == (reference < tol)
-        assert (distance <= tol) == (reference <= tol)
-        # within twice the tolerance the distance is numpy's, as long as the
-        # squares are not subnormal (rounded to a few significant bits)
-        if reference <= 1.9 * tol and tol * tol >= sys.float_info.min:
-            assert distance == reference
-
-
 class TestEngineGoalScreen:
-    """Both engines' goal test is :func:`dmp.goal_distance` of their state."""
+    """Both engines' ``goal_distance()`` is :func:`math.dist` of their state,
+    the primitive's side of the one goal test ``math.dist(x, g) <= goal_tol``."""
 
     @settings(max_examples=2000, deadline=None)
     @given(goal_screen_cases())
-    def test_screen_never_changes_the_decision(self, case):
+    def test_goal_distance_is_math_dist(self, case):
         x, g, tol = case
         model = zero_weight_model(d=len(g), g=g)
         nominal = tj.TimedTrajectory([0.0, 1.0], [model.x0, model.g])
@@ -444,12 +410,45 @@ class TestEngineGoalScreen:
             safe_exec.SafeDmpEngine(model, goal_tol=tol),
             baselines.ApfEngine(model, nominal, goal_tol=tol),
         ]
-        with np.errstate(all="ignore"):
-            expected = dmp.goal_distance(x, g, tol)
-            for engine in engines:
-                engine._x = x
-                distance = engine.goal_distance()
-                assert np.float64(distance).tobytes() == np.float64(expected).tobytes()
+        expected = np.float64(math.dist(x, g)).tobytes()
+        for engine in engines:
+            engine._x = x
+            assert np.float64(engine.goal_distance()).tobytes() == expected
+
+
+class TestRolloutAndRunStopTogether:
+    """The rollout and a stepped run stop on the same step, even where that
+    step lies exactly at the tolerance."""
+
+    @pytest.fixture(scope="class")
+    def at_tolerance(self, sshape_model):
+        """``(k, goal_tol)``: point k of the free rollout is the first to come
+        within 1 cm of the goal, so its distance is a strict running minimum,
+        and ``goal_tol`` is that distance."""
+        free = dmp.rollout(sshape_model, 0.005, stop_at_goal=False)
+        g = sshape_model.g.tolist()
+        dist = [math.dist(x, g) for x in free.trajectory.points.tolist()]
+        k = next(i for i, d in enumerate(dist) if d < 0.01)
+        assert k > 0 and dist[k] < min(dist[:k])
+        return k, dist[k]
+
+    def test_rollout_stops_at_the_tolerance(self, sshape_model, at_tolerance):
+        k, goal_tol = at_tolerance
+        rollout = dmp.rollout(sshape_model, 0.005, goal_tol=goal_tol)
+        assert rollout.steps == k and rollout.converged
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_stepped_run_stops_at_the_tolerance(self, method, sshape_model,
+                                                sshape_nominal, at_tolerance):
+        k, goal_tol = at_tolerance
+        if method == "safedmp":
+            engine = safe_exec.SafeDmpEngine(sshape_model, goal_tol=goal_tol)
+        else:
+            engine = baselines.ApfEngine(
+                sshape_model, sshape_nominal.trajectory, goal_tol=goal_tol
+            )
+        log = safe_exec.run(engine, nominal=None)
+        assert log.steps == k and log.converged
 
 
 class TestForcingTable:

@@ -60,7 +60,10 @@ def obstacle_near(draw, points):
     radius = draw(st.floats(0.01, 0.08))
     kind = draw(st.sampled_from(["static", "crossing", "windowed"]))
     if kind == "crossing":
-        velocity = 0.3 * np.array(draw(st.tuples(unit, unit, unit)))
+        # up to 0.3 or 40 m/s per axis: the canned crossing speeds, and one at
+        # which an obstacle moves 0.2 m, more than its diameter, per step
+        speed = draw(st.sampled_from([0.3, 40.0]))
+        velocity = speed * np.array(draw(st.tuples(unit, unit, unit)))
         # on the path point when the run passes it
         return safe_exec.Obstacle(center - velocity * (k * DT), radius, velocity)
     if kind == "windowed":
@@ -96,11 +99,10 @@ def test_replay_equals_stepped_run(data, sshape_model, minjerk_model):
         d0=data.draw(st.none() | st.floats(0.01, 0.3)),
     )
 
-    # the unperturbed run's free prefix: its rows that were not stepped
+    # the unperturbed run's free prefix: its rows that the engine did not log
     probe = build(method, model, rollout, **args)
-    stepped_rows = count_controls(probe)
     free = safe_exec.run(probe, max_steps=max_steps, nominal=rollout).steps
-    free -= len(stepped_rows)
+    free -= len(probe.rows)
 
     # perturbations at t=0, about the prefix's last step and past the rollout
     steps = st.sampled_from(
@@ -152,3 +154,29 @@ def test_runs_that_must_step_every_row(case, method, sshape_model, sshape_nomina
     if plant is None:
         stepped = safe_exec.run(build(method, sshape_model, sshape_nominal))
         assert_same_log(log, stepped)
+
+
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_goal_whose_squares_overflow_ends_the_prefix(method):
+    """1e160 m from the goal passes a 1e200 m tolerance, although the
+    squared distance overflows: the prefix's goal screen must keep it."""
+    centers, widths = dmp.default_basis(25, 25.0 / 6.0)
+    model = dmp.DmpModel(
+        d=3, n_basis=25, alpha=25.0, tau_nominal=1.0, x0=np.zeros(3),
+        g=np.full(3, 1e160), centers=centers, widths=widths,
+        weights=np.zeros((3, 25)),
+    )
+    rollout = dmp.rollout(model, DT, goal_tol=1e150)
+
+    def engine():
+        if method == "safedmp":
+            return safe_exec.SafeDmpEngine(model, dt=DT, goal_tol=1e200)
+        # the default force clamp takes a norm of g - x0, which overflows
+        return baselines.ApfEngine(model, rollout.trajectory,
+                                   baselines.ApfParams(max_force=1.0),
+                                   dt=DT, goal_tol=1e200)
+
+    replayed = safe_exec.run(engine(), nominal=rollout)
+    stepped = safe_exec.run(engine())
+    assert stepped.steps == 1 and stepped.converged
+    assert_same_log(replayed, stepped)
