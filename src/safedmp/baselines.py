@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -59,8 +59,21 @@ class ApfParams:
 
 
 def default_max_force(model: dmp.DmpModel) -> float:
-    extent = float(np.linalg.norm(model.g - model.x0))
-    return 10.0 * model.alpha * model.beta * max(extent, 1e-6) / model.tau_nominal**2
+    """Ten times the attractor's peak pull over the goal-to-start extent
+    ``||g - x0||`` (numpy's norm); :class:`InvalidInputError` if that force
+    is not finite."""
+    with np.errstate(over="ignore"):
+        diff = model.g - model.x0
+        extent = float(np.linalg.norm(diff))
+    if extent == math.inf:  # the squares overflow; hypot scales by the largest component
+        extent = math.hypot(*diff.tolist())
+    force = 10.0 * model.alpha * model.beta * max(extent, 1e-6) / model.tau_nominal**2
+    if force == math.inf:
+        raise InvalidInputError(
+            f"the goal-to-start extent of {extent:.6g} m gives no finite default "
+            "max_force; set the dmp-apf max_force"
+        )
+    return force
 
 
 def apf_force(x, table, t: float, params: ApfParams) -> np.ndarray:
@@ -90,6 +103,14 @@ def apf_force(x, table, t: float, params: ApfParams) -> np.ndarray:
     return force
 
 
+def _reference_rows(points: np.ndarray, k: int):
+    """The ``xn_*`` columns of steps k, k+1, ...: ``points[k:]``, then the
+    last point for as long as the run lasts, each converted to floats only
+    when ``chain.from_iterable`` first reads it."""
+    yield points[k:].tolist()
+    yield repeat(points[-1].tolist())
+
+
 class ApfEngine(Engine):
     """Primitive plus potential-field coupling, integrated as one system.
 
@@ -104,7 +125,9 @@ class ApfEngine(Engine):
     step.  The time scale stays ``tau_nominal``; a ``params.max_force`` of
     None is resolved to :func:`default_max_force` once, here.  The log's
     ``xn_*`` columns report ``nominal_reference``: step k logs its point k,
-    or its last point once the run outlasts it.
+    or its last point once the run outlasts it.  The reference stays an
+    array: :meth:`seek` returns its rows for a replayed prefix as a slice,
+    and the stepped rows convert only the points from the seek point on.
     """
 
     def __init__(
@@ -125,10 +148,8 @@ class ApfEngine(Engine):
         d0 = self.params.d0
         self.reach = max((row[2] if d0 is None else d0 for row in self._table),
                          default=0.0)
-        # the xn_* column of each step in turn: the reference's points, then
-        # its last point for as long as the run lasts
-        nominal = nominal_reference.points.tolist()
-        self._nominal = chain(nominal, repeat(nominal[-1]))
+        self._reference = nominal_reference.points
+        self._nominal = chain.from_iterable(_reference_rows(self._reference, 0))
 
     def control(self, x_measured: Sequence[float], t: float) -> list:
         """One control computation; advances the internal state.
@@ -151,9 +172,13 @@ class ApfEngine(Engine):
         )
         return self._x
 
-    def seek(self, k: int, x: list, v: list, z: float) -> list:
+    def seek(self, k: int, x: list, v: list, z: float) -> np.ndarray:
         super().seek(k, x, v, z)
-        return list(islice(self._nominal, k))
+        self._nominal = chain.from_iterable(_reference_rows(self._reference, k))
+        xn = self._reference[:k]
+        if len(xn) < k:  # the run outlasts the reference: pad with its last point
+            xn = np.concatenate((xn, np.repeat(xn[-1:], k - len(xn), axis=0)))
+        return xn
 
     def step(self, x_measured: Sequence[float], t: float) -> list:
         """Control computation plus one log row; returns the command, the

@@ -192,7 +192,8 @@ def forcing(model: DmpModel, z: float) -> list:
     total = float(np.add.reduce(psi))
     if total < 1e-300:
         raise DegeneratePhaseError(f"basis does not cover phase z={z}")
-    w_psi = (model.weights @ psi).tolist()
+    # the dgemv that ``weights @ psi`` dispatches, without the operator's overhead
+    w_psi = model.weights.dot(psi).tolist()
     return [_gated(w, z, total, a) for w, a in zip(w_psi, model.amplitude)]
 
 
@@ -233,12 +234,12 @@ def _extend_table(model: DmpModel, dt: float, table, max_steps: int | None):
 
     The table doubles (an empty one gets one entry), but not past
     ``max_steps``.  The phases are the sequential products of
-    :func:`phase_step` (``np.cumprod``), and the block stops before the first
-    phase outside (0, 1] or whose basis sum is below 1e-300: it is stored as
-    the next phase, and the step that reaches it raises from :func:`forcing`
-    as it would without a table.  Where :func:`phase_step` raises
-    :class:`PhaseStepError`, only one entry is added and the next phase is
-    NaN, since no run at the nominal time scale gets past it.
+    :func:`phase_step` (``np.multiply.accumulate``), and the block stops
+    before the first phase outside (0, 1] or whose basis sum is below 1e-300:
+    it is stored as the next phase, and the step that reaches it raises from
+    :func:`forcing` as it would without a table.  Where :func:`phase_step`
+    raises :class:`PhaseStepError`, only one entry is added and the next phase
+    is NaN, since no run at the nominal time scale gets past it.
     """
     phases, forces = table
     n = len(forces)
@@ -252,18 +253,23 @@ def _extend_table(model: DmpModel, dt: float, table, max_steps: int | None):
         count, factor = 1, math.nan
     grid = np.full(count + 1, factor)
     grid[0] = phases[n]
-    grid = np.cumprod(grid)
+    grid = np.multiply.accumulate(grid, out=grid)
+    grid_list = grid.tolist()
     z = grid[:-1, None]
     psi = _activations(model, z)
     total = np.add.reduce(psi, axis=-1, keepdims=True)
-    bad = np.flatnonzero(~((z > 0.0) & (z <= 1.0) & (total >= 1e-300)))
-    count = int(bad[0]) if bad.size else count
-    # numpy's stacked matmul over psi columns runs the gemv of ``weights @ psi``
+    # the grid starts at most 1 and never grows, so its phases lie in (0, 1]
+    # if its last does; the mask is needed only when a phase fails
+    if not (grid_list[count - 1] > 0.0 and total.min() >= 1e-300):
+        bad = np.flatnonzero(~((z > 0.0) & (z <= 1.0) & (total >= 1e-300)))
+        count = int(bad[0])
+        z, psi, total = z[:count], psi[:count], total[:count]
+    # numpy's stacked matmul over psi columns runs the gemv of ``weights.dot(psi)``
     # per row, so a row equals forcing() bit for bit; one gemm would not
-    w_psi = np.matmul(model.weights, psi[:count, :, None])[..., 0]
-    f = _gated(w_psi, z[:count], total[:count], np.array(model.amplitude))
+    w_psi = np.matmul(model.weights, psi[..., None])[..., 0]
+    f = _gated(w_psi, z, total, model.amplitude)
     forces.extend(map(tuple, f.tolist()))
-    phases.extend(grid[1 : count + 1].tolist())
+    phases.extend(grid_list[1 : count + 1])
 
 
 def target_forcing(
@@ -379,17 +385,20 @@ def attractor_step(x, v, f, g, tau: float, dt: float, alpha: float, beta: float)
     Per dimension, the attractor acceleration
     ``a = (alpha (beta (g - x) - tau v) + f) / tau^2``, then position with its
     second-order Taylor term, ``x' = x + v dt + (a/2) dt^2``, then velocity,
-    ``v' = v + a dt``.  The rollout and both engines step with it.  Returns
-    the lists ``(x', v')``.
+    ``v' = v + a dt``.  The rollout and both engines step with it.  Takes
+    sequences of d floats; returns the lists ``(x', v')``.
     """
     tau2 = tau**2
     dt2 = dt**2
-    x_next = []
-    v_next = []
-    for x_i, v_i, f_i, g_i in zip(x, v, f, g):
-        a_i = (alpha * (beta * (g_i - x_i) - tau * v_i) + f_i) / tau2
-        x_next.append(x_i + v_i * dt + (0.5 * a_i) * dt2)
-        v_next.append(v_i + a_i * dt)
+    d = len(x)
+    x_next = [0.0] * d
+    v_next = [0.0] * d
+    for i in range(d):
+        x_i = x[i]
+        v_i = v[i]
+        a_i = (alpha * (beta * (g[i] - x_i) - tau * v_i) + f[i]) / tau2
+        x_next[i] = x_i + v_i * dt + (0.5 * a_i) * dt2
+        v_next[i] = v_i + a_i * dt
     return x_next, v_next
 
 
@@ -433,8 +442,13 @@ def rollout(
     Stops once ``math.dist(x, g) <= goal_tol``, the package's one goal test
     (unless ``stop_at_goal`` is False), or when the horizon elapses, in
     which case the result is flagged non-converged rather than raising.
-    The state is plain floats, stepped by :func:`attractor_step`, with the
-    forcing of its own phase from :func:`forcing_at`; the result keeps the
+    The state is plain floats, stepped by :func:`attractor_step`.  At the
+    nominal time scale the phase stays on the grid of :func:`forcing_at`, so
+    step k reads its forcing row straight from the model's table, which
+    grows by :func:`_extend_table` (with the rollout's step cap) only when k
+    reaches its end, and the grid's phases are the rollout's; where the grid
+    stops, the step raises what :func:`forcing` or :func:`phase_step` would.
+    The result keeps the
     velocity and phase of every point, from which :func:`~.safe_exec.run`
     replays a run's free prefix.
     """
@@ -450,24 +464,31 @@ def rollout(
     g = model.g.tolist()
     x = model.x0.tolist()
     v = [0.0] * model.d
-    z = 1.0
-    positions, velocities, phases = [x], [v], [z]
+    phases, forces = table = model.forcing_tables.setdefault(dt, ([1.0], []))
+    n = 0  # steps below n read their row without a look at the table's end
+    positions, velocities = [x], [v]
     for k in range(max_steps):
         if stop_at_goal and math.dist(x, g) <= goal_tol:
             break
-        f = forcing_at(model, dt, k, z, max_steps)
-        x, v = attractor_step(x, v, f, g, tau, dt, alpha, beta)
-        z = phase_step(z, tau, dt, alpha_z)
+        if k == n:
+            if k == len(forces):
+                _extend_table(model, dt, table, max_steps)
+            n = len(forces)
+            if k == n:  # the grid stops before step k
+                forcing(model, phases[k])  # raises, as forcing_at would
+            if math.isnan(phases[n]):  # the phase step would pass zero
+                phase_step(phases[k], tau, dt, alpha_z)  # raises PhaseStepError
+        x, v = attractor_step(x, v, forces[k], g, tau, dt, alpha, beta)
         positions.append(x)
         velocities.append(v)
-        phases.append(z)
     converged = math.dist(x, g) <= goal_tol
     times = np.arange(len(positions)) * dt
     return RolloutResult(
         trajectory=TimedTrajectory(times, np.asarray(positions)),
         converged=converged,
         steps=len(positions) - 1,
-        velocities=velocities, phases=phases, model=model, dt=dt,
+        velocities=velocities, phases=phases[: len(positions)], model=model,
+        dt=dt,
     )
 
 

@@ -447,7 +447,8 @@ class Engine:
     def seek(self, k: int, x: list, v: list, z: float):
         """Take the state after ``k`` steps with nothing to correct, a
         rollout's ``x_k``, ``v_k`` and ``z_k``; :func:`run` logs their rows.
-        Returns their ``xn_*`` columns if not the rollout's points."""
+        Returns their ``xn_*`` columns, a (k, d) array, if not the rollout's
+        points."""
         self._k, self._x, self._v, self.z = k, x, v, z
 
 
@@ -625,7 +626,7 @@ def _free_prefix(engine, nominal, offsets: dict, max_steps: int) -> np.ndarray:
     xn = engine.seek(n, points[n].tolist(), nominal.velocities[n], nominal.phases[n])
     return np.column_stack((
         np.arange(n) * engine.dt,
-        points[:n] if xn is None else np.reshape(xn, (n, engine.model.d)),
+        points[:n] if xn is None else xn,
         points[1:n + 1], points[1:n + 1], points[:n],
         np.full(n, engine.tau), nominal.phases[1:n + 1],
     ))

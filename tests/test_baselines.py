@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from safedmp import baselines, bench, dmp, safe_exec
 from safedmp.errors import InvalidInputError
+from safedmp.trajectory import TimedTrajectory
 
 
 def table(*obstacles, delta_gamma=safe_exec.DEFAULT_DELTA_GAMMA):
@@ -179,6 +180,41 @@ class TestApfRun:
         params = baselines.ApfParams(max_force=5.0)
         engine = baselines.ApfEngine(sshape_model, sshape_nominal.trajectory, params)
         assert engine.params is params
+
+    def test_default_clamp_keeps_the_finite_norm(self, sshape_model):
+        m = sshape_model
+        extent = float(np.linalg.norm(m.g - m.x0))
+        assert baselines.default_max_force(m) == (
+            10.0 * m.alpha * m.beta * extent / m.tau_nominal**2
+        )
+
+    def test_default_clamp_of_an_overflowing_norm(self, sshape_model):
+        """Retargeted by 1e160, the squares of ``g - x0`` overflow; the clamp
+        falls back to the scaled norm, and the engine runs."""
+        m = dmp.retarget(sshape_model, sshape_model.x0 * 1e160,
+                         sshape_model.g * 1e160)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(m.g - m.x0) == math.inf
+        extent = math.hypot(*(m.g - m.x0).tolist())
+        expected = 10.0 * m.alpha * m.beta * extent / m.tau_nominal**2
+        assert math.isfinite(expected)
+        assert baselines.default_max_force(m) == expected
+        nominal = dmp.rollout(m, 0.005, goal_tol=1e150)
+        engine = baselines.ApfEngine(m, nominal.trajectory, goal_tol=1e150)
+        assert engine.params.max_force == expected
+        log = safe_exec.run(engine, nominal=nominal)
+        assert log.converged and np.all(np.isfinite(log.rows[:, :-1]))
+
+    @pytest.mark.parametrize("scale", [1e306, 1.5e308])
+    def test_default_clamp_past_the_float_range(self, sshape_model, scale):
+        """The force (1e306) or even the extent (1.5e308) is not finite: the
+        error names the extent, not the clamp."""
+        d = sshape_model.d
+        m = dmp.retarget(sshape_model, np.full(d, -scale), np.full(d, scale))
+        with pytest.raises(InvalidInputError, match="goal-to-start extent"):
+            baselines.default_max_force(m)
+        with pytest.raises(InvalidInputError, match="goal-to-start extent"):
+            baselines.ApfEngine(m, TimedTrajectory([0.0, 1.0], [m.x0, m.g]))
 
     def test_obstacle_free_reproduces_rollout_bitwise(self, sshape_model):
         nominal = dmp.rollout(sshape_model, 0.005)

@@ -622,6 +622,154 @@ class TestForcingTableProperty:
         assert phases[-1] == z
 
 
+def oracle_rollout(model, dt, horizon, goal_tol=dmp.DEFAULT_GOAL_TOL,
+                   stop_at_goal=True):
+    """The rollout loop as first written: each step calls :func:`dmp.forcing_at`
+    at its own phase and advances it with :func:`dmp.phase_step`.  Returns
+    ``(points, velocities, phases, steps, converged)``."""
+    max_steps = dmp.step_cap(horizon, dt)
+    tau = model.tau_nominal
+    g = model.g.tolist()
+    x = model.x0.tolist()
+    v = [0.0] * model.d
+    z = 1.0
+    positions, velocities, phases = [x], [v], [z]
+    for k in range(max_steps):
+        if stop_at_goal and math.dist(x, g) <= goal_tol:
+            break
+        f = dmp.forcing_at(model, dt, k, z, max_steps)
+        x, v = dmp.attractor_step(x, v, f, g, tau, dt, model.alpha, model.beta)
+        z = dmp.phase_step(z, tau, dt, model.alpha_z)
+        positions.append(x)
+        velocities.append(v)
+        phases.append(z)
+    return (np.asarray(positions), velocities, phases, len(positions) - 1,
+            math.dist(x, g) <= goal_tol)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def raising_step(rollout, model, dt):
+    """The step at which ``rollout(model, dt, horizon, stop_at_goal=False)``
+    raises, found as the fewest steps whose horizon raises, with the
+    exception; each attempt runs on a fresh copy of ``model``."""
+    for steps in range(1, 200):
+        try:
+            rollout(dmp.retarget(model, model.x0, model.g), dt, horizon=steps * dt,
+                    stop_at_goal=False)
+        except Exception as err:  # noqa: BLE001 - any exception is the answer
+            return steps - 1, type(err), str(err)
+    return None
+
+
+def underflow_model():
+    """Wide basis functions cover phase 0, and the grid factor 0.01 drives the
+    phase to exactly 0 (an :class:`InvalidInputError` phase) at step 162."""
+    return dmp.DmpModel(
+        d=2, n_basis=2, alpha=6.0, tau_nominal=0.005 / 0.99,
+        x0=np.zeros(2), g=np.array([1.0, -0.5]),
+        centers=np.array([1.0, 0.5]), widths=np.array([1.0, 1.0]),
+        weights=np.array([[1.0, -2.0], [0.5, 3.0]]),
+    )
+
+
+class TestRolloutOracle:
+    """``dmp.rollout`` walks the phase grid and reads each step's row from the
+    table; the oracle calls ``forcing_at`` and ``phase_step`` on every step.
+    Both give the same bits, and raise the same exception at the same step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table_models(),
+        st.sampled_from([0.001, 0.002, 0.005, 0.01]),
+        st.lists(
+            st.tuples(st.floats(0.01, 3.0), st.booleans(),
+                      st.sampled_from([1e-4, dmp.DEFAULT_GOAL_TOL, 0.05])),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_rollout_matches_oracle(self, m, dt, runs):
+        """Run after run, so the later ones start from a table of another
+        length; the oracle's model is a copy with a table of its own."""
+        twin = dmp.retarget(m, m.x0, m.g)
+        for horizon_factor, stop_at_goal, goal_tol in runs:
+            horizon = horizon_factor * m.tau_nominal
+            points, velocities, phases, steps, converged = oracle_rollout(
+                twin, dt, horizon, goal_tol, stop_at_goal
+            )
+            if steps == 0:  # a one-point trajectory is refused
+                with pytest.raises(InsufficientDataError):
+                    dmp.rollout(m, dt, horizon, goal_tol, stop_at_goal)
+                continue
+            got = dmp.rollout(m, dt, horizon, goal_tol, stop_at_goal)
+            assert np.array_equal(bits(got.trajectory.points), bits(points))
+            assert np.array_equal(bits(got.velocities), bits(velocities))
+            assert np.array_equal(bits(got.phases), bits(phases))
+            assert (got.steps, got.converged) == (steps, converged)
+
+    @pytest.mark.parametrize("model, step, error", [
+        (random_model(seed=5, d=3, tau=0.01), 0, PhaseStepError),
+        (narrow_basis_model(), NARROW_DEGENERATE_STEP, DegeneratePhaseError),
+        (underflow_model(), 162, InvalidInputError),
+    ], ids=["phase step past zero", "degenerate basis", "phase underflow"])
+    def test_same_exception_at_the_same_step(self, model, step, error):
+        oracle = raising_step(
+            lambda m, dt, horizon, stop_at_goal:
+                oracle_rollout(m, dt, horizon, stop_at_goal=stop_at_goal),
+            model, 0.005,
+        )
+        assert raising_step(dmp.rollout, model, 0.005) == oracle
+        assert oracle[:2] == (step, error)
+        # and from the table the oracle left
+        warm = dmp.retarget(model, model.x0, model.g)
+        horizon = (step + 1) * 0.005
+        with pytest.raises(error):
+            oracle_rollout(warm, 0.005, horizon, stop_at_goal=False)
+        with pytest.raises(error) as got:
+            dmp.rollout(warm, 0.005, horizon, stop_at_goal=False)
+        assert str(got.value) == oracle[2]
+
+    def test_grid_that_ends_in_nan(self):
+        """An engine's first ``forcing_at`` leaves a table whose next phase is
+        NaN; a rollout reading it raises at step 0, as the oracle does."""
+        m = random_model(seed=5, d=3, tau=0.01)
+        dmp.forcing_at(m, 0.005, 0, 1.0)
+        phases, forces = m.forcing_tables[0.005]
+        assert len(forces) == 1 and math.isnan(phases[1])
+        with pytest.raises(PhaseStepError) as got:
+            dmp.rollout(m, 0.005, horizon=0.005)
+        with pytest.raises(PhaseStepError) as expected:
+            oracle_rollout(m, 0.005, 0.005)
+        assert str(got.value) == str(expected.value)
+
+
+class TestGridFillTraffic:
+    """A cold rollout of each builtin demo at dt = 0.005 fills its table in
+    doubling blocks: 1, 1, 2, ..., 256 rows, ten passes for 512 rows."""
+
+    @pytest.mark.parametrize("name, steps", [
+        ("minjerk", 403), ("sine2", 411), ("sshape", 401),
+    ])
+    def test_cold_rollout_passes_and_rows(self, name, steps, monkeypatch):
+        model = dmp.learn_from_trajectory(
+            tj.preprocess(tj.load_demo(f"builtin:{name}"))
+        )
+        starts = []
+        extend = dmp._extend_table
+
+        def counting(model, dt, table, max_steps):
+            starts.append(len(table[1]))
+            extend(model, dt, table, max_steps)
+
+        monkeypatch.setattr(dmp, "_extend_table", counting)
+        assert dmp.rollout(model, 0.005).steps == steps
+        assert starts == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256]
+        phases, forces = model.forcing_tables[0.005]
+        assert (len(forces), len(phases)) == (512, 513)
+
+
 class TestAdaptTiming:
     """The engine's coupling routine: leaky deviation filter and dilated tau."""
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safedmp import baselines, bench, dmp, safe_exec
+from safedmp import trajectory as tj
 
 DT = 0.005
 
@@ -171,12 +172,48 @@ def test_goal_whose_squares_overflow_ends_the_prefix(method):
     def engine():
         if method == "safedmp":
             return safe_exec.SafeDmpEngine(model, dt=DT, goal_tol=1e200)
-        # the default force clamp takes a norm of g - x0, which overflows
-        return baselines.ApfEngine(model, rollout.trajectory,
-                                   baselines.ApfParams(max_force=1.0),
-                                   dt=DT, goal_tol=1e200)
+        return baselines.ApfEngine(model, rollout.trajectory, dt=DT,
+                                   goal_tol=1e200)
 
     replayed = safe_exec.run(engine(), nominal=rollout)
     stepped = safe_exec.run(engine())
     assert stepped.steps == 1 and stepped.converged
+    assert_same_log(replayed, stepped)
+
+
+@pytest.mark.parametrize("length", [2, 50])
+def test_apf_reference_shorter_than_the_prefix(length, sshape_model, sshape_nominal):
+    """A dmp-apf reference of its own, shorter than the free prefix: the
+    replayed rows log its points, then its last point, as stepped rows do."""
+    points = sshape_nominal.trajectory.points[:length] + 0.25
+    reference = tj.TimedTrajectory(np.arange(length) * DT, points)
+
+    def engine():
+        return baselines.ApfEngine(sshape_model, reference, dt=DT)
+
+    replaying = engine()
+    calls = count_controls(replaying)
+    replayed = safe_exec.run(replaying, nominal=sshape_nominal)
+    stepped = safe_exec.run(engine())
+    assert calls == [] and replayed.steps == sshape_nominal.steps > length
+    assert_same_log(replayed, stepped)
+    xn = replayed.rows[:, 1:4]
+    assert np.array_equal(xn[:length], points)
+    assert np.array_equal(xn[length:], np.broadcast_to(points[-1], xn[length:].shape))
+
+
+def test_apf_stepped_rows_follow_the_seek_point(sshape_model, sshape_nominal):
+    """A perturbation ends the prefix at step 100 of a 120-point reference;
+    the stepped rows' reference columns go on from the seek point, bit for
+    bit as in the stepped run."""
+    reference = tj.TimedTrajectory(sshape_nominal.trajectory.times[:120],
+                                   sshape_nominal.trajectory.points[:120] - 0.5)
+    perturbations = [bench.Perturbation(100 * DT, np.array([0.02, -0.01, 0.0]))]
+    engines = [baselines.ApfEngine(sshape_model, reference, dt=DT) for _ in "ab"]
+    calls = count_controls(engines[0])
+    replayed, stepped = (
+        safe_exec.run(engine, perturbations=perturbations, nominal=nominal)
+        for engine, nominal in zip(engines, (sshape_nominal, None))
+    )
+    assert calls[0] == 100 * DT and len(calls) == replayed.steps - 100
     assert_same_log(replayed, stepped)
