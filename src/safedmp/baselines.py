@@ -120,10 +120,11 @@ class ApfEngine(Engine):
 
     The state is the plain floats of :class:`~.safe_exec.Engine`:
     :meth:`control` converts the measurement once, adds the repulsion of
-    :func:`apf_force` to the forcing row from :func:`dmp.forcing_at` and
-    advances the primitive with :func:`dmp.attractor_step`, the rollout's own
-    step.  The time scale stays ``tau_nominal``; a ``params.max_force`` of
-    None is resolved to :func:`default_max_force` once, here.  The log's
+    :func:`apf_force` (not called without obstacles) to the forcing row
+    from :func:`dmp.forcing_at` and advances the primitive with
+    :func:`dmp.attractor_step`, the rollout's own step.  The time scale
+    stays ``tau_nominal``; a ``params.max_force`` of None is resolved to
+    :func:`default_max_force` once, here.  The log's
     ``xn_*`` columns report ``nominal_reference``: step k logs its point k,
     or its last point once the run outlasts it.  The reference stays an
     array: :meth:`seek` returns its rows for a replayed prefix as a slice,
@@ -163,9 +164,12 @@ class ApfEngine(Engine):
         x = self._x_measured = list(map(float, x_measured))
         f_ext = dmp.forcing_at(model, dt, self._k, self.z)
         self._k += 1
-        f_apf = apf_force(x, self._table, t, self.params).tolist()
-        tau2 = tau**2
-        f_total = [f_e + f_a * tau2 for f_e, f_a in zip(f_ext, f_apf)]
+        if self._table:
+            f_apf = apf_force(x, self._table, t, self.params).tolist()
+            tau2 = tau**2
+            f_total = [f_e + f_a * tau2 for f_e, f_a in zip(f_ext, f_apf)]
+        else:  # no repulsion: the bits of f_e + 0.0 * tau**2
+            f_total = [f_e + 0.0 for f_e in f_ext]
         self.z = dmp.phase_step(self.z, tau, dt, model.alpha_z)
         self._x, self._v = dmp.attractor_step(
             x, self._v, f_total, self._g, tau, dt, model.alpha, model.beta

@@ -195,7 +195,12 @@ def _deviation_from_nominal(
     ref = np.empty_like(measured)
     for i in range(nominal.d):
         ref[:, i] = np.interp(times, nominal.times, nominal.points[:, i])
-    return np.linalg.norm(measured - ref, axis=1)
+    return _row_norms(measured - ref)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)`` of a float array, without its wrapper."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def convergence_time_perturb(
@@ -208,27 +213,27 @@ def convergence_time_perturb(
     """Mean time from each impulse until the path re-joins the nominal one.
 
     Re-joining requires the deviation to stay below ``tol`` for ``dwell``
-    consecutive samples; an impulse that never re-converges contributes
-    infinity to the mean.
+    consecutive samples, or until the log ends; an impulse that never
+    re-converges contributes infinity to the mean.  ``dwell`` must be at
+    least 1.
     """
     perturbations = list(perturbations)
     if not perturbations:
         raise UndefinedMetricError("scenario has no perturbations")
+    if dwell < 1:
+        raise InvalidInputError(f"dwell must be at least 1 sample, got {dwell}")
     deviation = _deviation_from_nominal(log, nominal)
     times = log.t
-    below = deviation < tol
+    n = len(times)
+    # above[i]: samples at or above tol before i; sample i has settled when
+    # its dwell window, clipped at the log's end, holds none of them
+    above = np.concatenate(([0], np.cumsum(~(deviation < tol))))
+    settled = above[np.minimum(np.arange(n) + min(dwell, n), n)] == above[:n]
     results = []
     for pert in perturbations:
         t_apply = pert.t_apply
-        candidates = np.nonzero(times >= t_apply - 1e-12)[0]
-        found = math.inf
-        for idx in candidates:
-            window = below[idx: idx + dwell]
-            if window.size == 0:
-                break
-            if window.all() and (window.size == dwell or bool(below[idx:].all())):
-                found = times[idx] - t_apply
-                break
+        hits = np.flatnonzero(settled & (times >= t_apply - 1e-12))
+        found = times[hits[0]] - t_apply if hits.size else math.inf
         results.append(max(found, 0.0))
     return float(np.mean(results))
 
@@ -278,17 +283,18 @@ def oscillation_flag(log: safe_exec.ExecutionLog) -> bool:
     smooth[:w] = csum[:w] / np.arange(1, len(csum[:w]) + 1)[:, None]
     smooth[w:] = (csum[w:] - csum[:-w]) / w
     dots = np.einsum("ij,ij->i", vel, smooth)
-    speed = np.linalg.norm(vel, axis=1)
+    speed = _row_norms(vel)
     extent = float(np.linalg.norm(log.goal - measured[0]))
     goal_radius = max(0.02, 0.05 * extent)
-    away = np.linalg.norm(measured[:-1] - log.goal[None, :], axis=1) > goal_radius
+    away = _row_norms(measured[:-1] - log.goal[None, :]) > goal_radius
     opposing = (dots < 0.0) & away & (speed > 1e-9)
     # one reversal = the onset of an opposing stretch, so a single smooth
     # turn of the path counts once however many samples it spans
     onsets = opposing & ~np.concatenate([[False], opposing[:-1]])
-    window = dmp.step_cap(OSCILLATION_WINDOW_S, dt)
-    counts = np.convolve(onsets.astype(float), np.ones(window), mode="valid")
-    return bool(np.any(counts > OSCILLATION_MAX_REVERSALS))
+    # onsets per window of samples; a log shorter than one window is one
+    window = min(dmp.step_cap(OSCILLATION_WINDOW_S, dt), len(onsets))
+    csum = np.concatenate(([0], np.cumsum(onsets)))
+    return bool((csum[window:] - csum[:-window] > OSCILLATION_MAX_REVERSALS).any())
 
 
 def stall_detected(log: safe_exec.ExecutionLog) -> bool:

@@ -441,7 +441,9 @@ def rollout(
 
     Stops once ``math.dist(x, g) <= goal_tol``, the package's one goal test
     (unless ``stop_at_goal`` is False), or when the horizon elapses, in
-    which case the result is flagged non-converged rather than raising.
+    which case the result is flagged non-converged rather than raising.  A
+    start that already passes the goal test raises
+    :class:`InvalidInputError` before the first step.
     The state is plain floats, stepped by :func:`attractor_step`.  At the
     nominal time scale the phase stays on the grid of :func:`forcing_at`, so
     step k reads its forcing row straight from the model's table, which
@@ -463,6 +465,11 @@ def rollout(
     tau = model.tau_nominal
     g = model.g.tolist()
     x = model.x0.tolist()
+    if stop_at_goal and math.dist(x, g) <= goal_tol:
+        raise InvalidInputError(
+            f"the start lies {math.dist(x, g):.6g} m from the goal, within "
+            f"goal_tol={goal_tol}: there is nothing to roll out"
+        )
     v = [0.0] * model.d
     phases, forces = table = model.forcing_tables.setdefault(dt, ([1.0], []))
     n = 0  # steps below n read their row without a look at the table's end

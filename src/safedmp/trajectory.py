@@ -66,9 +66,10 @@ class TimedTrajectory:
             raise InsufficientDataError("a trajectory needs at least 2 samples")
         if points.shape[1] < 1:
             raise DimensionError("points must have dimension >= 1")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
+        if not (np.isfinite(times).all() and np.isfinite(points).all()):
             raise InvalidInputError("times and points must be finite")
-        if np.any(np.diff(times) <= 0):
+        # for finite times, the same test as np.diff(times) > 0
+        if not (times[1:] > times[:-1]).all():
             raise InvalidInputError("times must be strictly increasing")
         times.flags.writeable = False
         points.flags.writeable = False
@@ -136,11 +137,15 @@ def resample(traj: TimedTrajectory, n: int) -> TimedTrajectory:
     """Resample onto a uniform time grid with piecewise-linear interpolation.
 
     The output spans exactly ``[times[0], times[-1]]`` with ``n`` samples;
-    endpoints are preserved bit-exactly.
+    endpoints are preserved bit-exactly.  A trajectory whose times already
+    are that grid, bit for bit, is returned as it is: ``np.interp`` at its
+    own knots returns their values.
     """
     if n < 2:
         raise InvalidInputError(f"resample needs n >= 2, got {n}")
     grid = np.linspace(traj.times[0], traj.times[-1], n)
+    if n == traj.n and grid.tobytes() == traj.times.tobytes():
+        return traj
     out = np.empty((n, traj.d))
     for i in range(traj.d):
         out[:, i] = np.interp(grid, traj.times, traj.points[:, i])

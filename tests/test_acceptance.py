@@ -212,7 +212,8 @@ def test_07_timing(capsys):
     report(7, "timing",
            f"safedmp mean {mean_safe * 1e6:.1f} us (median block p99 "
            f"{p99_safe * 1e6:.1f} us) < 1 ms and < dmp-apf mean "
-           f"{mean_apf * 1e6:.1f} us, 5 obstacles active")
+           f"{mean_apf * 1e6:.1f} us (dmp-apf/safedmp {mean_apf / mean_safe:.2f}), "
+           "5 obstacles active")
 
 
 def test_08_baseline_failure_demonstration(straight_line_model):

@@ -299,3 +299,79 @@ class TestFloatPath:
         values = [engine.tau, engine.z, *engine._x, *engine._v]
         assert all(type(v) is float for v in values)
         assert all(type(v) is float for row in engine.rows for v in row)
+
+
+class ForcedApfEngine(baselines.ApfEngine):
+    """The control law that calls :func:`baselines.apf_force` on every step,
+    with or without obstacles."""
+
+    def control(self, x_measured, t):
+        model, dt, tau = self.model, self.dt, self.tau
+        x = self._x_measured = list(map(float, x_measured))
+        f_ext = dmp.forcing_at(model, dt, self._k, self.z)
+        self._k += 1
+        f_apf = baselines.apf_force(x, self._table, t, self.params).tolist()
+        tau2 = tau**2
+        f_total = [f_e + f_a * tau2 for f_e, f_a in zip(f_ext, f_apf)]
+        self.z = dmp.phase_step(self.z, tau, dt, model.alpha_z)
+        self._x, self._v = dmp.attractor_step(
+            x, self._v, f_total, self._g, tau, dt, model.alpha, model.beta
+        )
+        return self._x
+
+
+class TestObstacleFreeSteps:
+    """Without obstacles the engine skips the force; its steps keep their bits."""
+
+    def test_obstacle_free_perturbed_run_calls_no_force(
+        self, sshape_model, sshape_nominal, standard_impulses, monkeypatch
+    ):
+        calls = []
+        force = baselines.apf_force
+
+        def counting(*args):
+            calls.append(args)
+            return force(*args)
+
+        monkeypatch.setattr(baselines, "apf_force", counting)
+        engine = baselines.ApfEngine(sshape_model, sshape_nominal.trajectory)
+        log = safe_exec.run(engine, perturbations=standard_impulses)
+        assert log.converged and log.steps > 300
+        assert calls == []
+        obs = safe_exec.Obstacle(center0=[5.0, 5.0, 5.0], radius=0.1)
+        engine = baselines.ApfEngine(
+            sshape_model, sshape_nominal.trajectory, obstacles=[obs]
+        )
+        log = safe_exec.run(engine, perturbations=standard_impulses)
+        assert len(calls) == log.steps
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_steps_equal_the_forced_law(
+        self, data, sshape_model, minjerk_model, straight_line_model
+    ):
+        # zero weights and a goal below the start give forcing rows of -0.0
+        falling = dmp.retarget(straight_line_model, [0.6, 0.2, 0.25], [0.0, -0.1, 0.25])
+        model = data.draw(st.sampled_from(
+            [sshape_model, minjerk_model, straight_line_model, falling]))
+        dt = data.draw(st.sampled_from([0.004, 0.005, 0.01]))
+        horizon = data.draw(st.floats(0.2, 2.0)) * model.tau_nominal
+        offset = st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3)
+        perturbations = [
+            bench.Perturbation(t, np.array(o)) for t, o in data.draw(st.lists(
+                st.tuples(st.floats(0.0, horizon), offset), max_size=3))
+        ]
+        plant = data.draw(st.sampled_from(["ideal", "lag"]))
+        nominal = dmp.rollout(model, dt).trajectory
+        logs = []
+        for engine_class in (baselines.ApfEngine, ForcedApfEngine):
+            logs.append(safe_exec.run(
+                engine_class(model, nominal, dt=dt),
+                plant=(safe_exec.IdealPlant() if plant == "ideal"
+                       else safe_exec.FirstOrderLagPlant(0.05, dt)),
+                perturbations=perturbations,
+                max_steps=dmp.step_cap(horizon, dt),
+            ))
+        got, expected = logs
+        assert got.rows.tobytes() == expected.rows.tobytes()
+        assert (got.converged, got.steps) == (expected.converged, expected.steps)

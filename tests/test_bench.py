@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safedmp import baselines, bench, dmp, safe_exec
 from safedmp import trajectory as tj
@@ -114,6 +116,79 @@ class TestConvergenceTimePerturb:
         pert = bench.Perturbation(t_apply=0.1, offset=np.array([0, 0.05, 0]))
         conv = bench.convergence_time_perturb(log, nominal, [pert], dwell=10)
         assert conv == pytest.approx(23 * self.dt - 0.1)
+
+
+def oracle_convergence_time_perturb(log, nominal, perturbations, tol, dwell):
+    """The metric as a candidate loop: from each impulse on, one window of
+    ``dwell`` samples (clipped at the log's end) per index until one is all
+    below ``tol``."""
+    times = log.t
+    ref = np.empty_like(log.x_measured)
+    for i in range(nominal.d):
+        ref[:, i] = np.interp(times, nominal.times, nominal.points[:, i])
+    below = np.linalg.norm(log.x_measured - ref, axis=1) < tol
+    results = []
+    for pert in perturbations:
+        t_apply = pert.t_apply
+        found = math.inf
+        for idx in np.nonzero(times >= t_apply - 1e-12)[0]:
+            window = below[idx: idx + dwell]
+            if window.all() and (window.size == dwell or bool(below[idx:].all())):
+                found = times[idx] - t_apply
+                break
+        results.append(max(found, 0.0))
+    return float(np.mean(results))
+
+
+@st.composite
+def reconvergence_cases(draw):
+    """A log of 1-300 rows whose deviation from a moving nominal lies below
+    or above tol in drawn runs, a dwell of 1-15 samples and 1-3 impulses
+    before, on (to the 1e-12 slack), between and past the log's samples."""
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 40)),
+                         min_size=1, max_size=30))
+    below = np.concatenate([np.full(k, b) for b, k in runs])[:300]
+    n = len(below)
+    dt = draw(st.sampled_from([0.004, 0.005, 0.01]))
+    t0 = draw(st.sampled_from([0.0, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = t0 + np.arange(n) * dt
+    nominal = tj.TimedTrajectory(
+        np.arange(n + 2) * dt,
+        np.cumsum(rng.normal(scale=0.01, size=(n + 2, 3)), axis=0),
+    )
+    ref = np.column_stack(
+        [np.interp(times, nominal.times, nominal.points[:, i]) for i in range(3)]
+    )
+    tol = bench.DEFAULT_RECONVERGENCE_TOL
+    size = tol * np.where(below, rng.uniform(0.0, 0.99, n), rng.uniform(1.01, 20.0, n))
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    log = synthetic_log(times, ref + size[:, None] * direction, [0, 0, 0], dt)
+    on_grid = st.tuples(
+        st.integers(0, n + 3), st.sampled_from([-2e-12, -1e-12, 0.0, 1e-12])
+    ).map(lambda k_eps: max(0.0, t0 + k_eps[0] * dt + k_eps[1]))
+    t_apply = on_grid | st.floats(0.0, times[-1] + 20 * dt)
+    perturbations = [bench.Perturbation(t, np.zeros(3))
+                     for t in draw(st.lists(t_apply, min_size=1, max_size=3))]
+    return log, nominal, perturbations, tol, draw(st.integers(1, 15))
+
+
+class TestConvergenceSearchOracle:
+    """The one-pass search returns the candidate loop's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reconvergence_cases())
+    def test_matches_candidate_loop(self, case):
+        got = bench.convergence_time_perturb(*case)
+        assert got.hex() == oracle_convergence_time_perturb(*case).hex()
+
+    @pytest.mark.parametrize("dwell", [0, -1, -10])
+    def test_dwell_below_one_rejected(self, dwell):
+        log, nominal = TestConvergenceTimePerturb().make_log([0.0] * 50)
+        pert = bench.Perturbation(t_apply=0.1, offset=np.zeros(3))
+        with pytest.raises(InvalidInputError, match="dwell"):
+            bench.convergence_time_perturb(log, nominal, [pert], dwell=dwell)
 
 
 class TestConvergenceTimeOa:
@@ -291,6 +366,77 @@ class TestPlan:
         prepared = bench.plan(bench.Scenario(), sshape_model)
         assert prepared.demo is prepared.nominal
         assert prepared.nominal_converged
+
+
+def oracle_oscillation_flag(log) -> bool:
+    """The flag with numpy's norms and a ``np.convolve`` window count."""
+    if log.steps < 3:
+        return False
+    measured, dt = log.x_measured, log.dt
+    vel = np.diff(measured, axis=0) / dt
+    w = max(2, int(round(bench.OSCILLATION_SMOOTH_S / dt)))
+    csum = np.cumsum(vel, axis=0)
+    smooth = np.empty_like(vel)
+    smooth[:w] = csum[:w] / np.arange(1, len(csum[:w]) + 1)[:, None]
+    smooth[w:] = (csum[w:] - csum[:-w]) / w
+    dots = np.einsum("ij,ij->i", vel, smooth)
+    speed = np.linalg.norm(vel, axis=1)
+    extent = float(np.linalg.norm(log.goal - measured[0]))
+    goal_radius = max(0.02, 0.05 * extent)
+    away = np.linalg.norm(measured[:-1] - log.goal[None, :], axis=1) > goal_radius
+    opposing = (dots < 0.0) & away & (speed > 1e-9)
+    onsets = opposing & ~np.concatenate([[False], opposing[:-1]])
+    window = dmp.step_cap(bench.OSCILLATION_WINDOW_S, dt)
+    counts = np.convolve(onsets.astype(float), np.ones(window), mode="valid")
+    return bool(np.any(counts > bench.OSCILLATION_MAX_REVERSALS))
+
+
+@st.composite
+def zigzag_logs(draw, max_rows, max_run):
+    """A path that drifts along x and turns in y after drawn runs of steps,
+    some of them standing still, with a goal far away or at its end."""
+    runs = draw(st.lists(st.integers(1, max_run), min_size=1, max_size=max_rows))
+    turns = np.concatenate([np.full(k, (-1.0) ** i) for i, k in enumerate(runs)])
+    dt = draw(st.sampled_from([0.004, 0.005, 0.01]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = min(len(turns), max_rows - 1)
+    steps = np.column_stack([
+        np.full(m, draw(st.sampled_from([0.0, 0.02, 0.2]))),
+        turns[:m] * draw(st.floats(0.05, 1.0)),
+        rng.normal(scale=0.02, size=m),
+    ]) * dt * (rng.uniform(size=m) > 0.1)[:, None]
+    measured = np.vstack([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
+    goal = [5.0, 0.0, 0.0] if draw(st.booleans()) else measured[-1]
+    return synthetic_log(np.arange(m + 1) * dt, measured, goal, dt)
+
+
+class TestOscillationOracle:
+    """The cumulative window count returns the ``np.convolve`` flag."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zigzag_logs(max_rows=300, max_run=30))
+    def test_matches_convolve(self, log):
+        assert bench.oscillation_flag(log) == oracle_oscillation_flag(log)
+
+    @settings(max_examples=200, deadline=None)
+    @given(zigzag_logs(max_rows=50, max_run=4))
+    def test_log_shorter_than_the_window_matches_convolve(self, log):
+        # fewer onset samples than the 50-125-sample window
+        assert log.steps - 1 < dmp.step_cap(bench.OSCILLATION_WINDOW_S, log.dt)
+        assert bench.oscillation_flag(log) == oracle_oscillation_flag(log)
+
+    def test_short_log_counts_as_one_window(self):
+        dt = 0.005
+        n = 60  # 59 onset samples, a 100-sample window
+        k = np.arange(n)
+        times = k * dt
+        y = 0.002 * np.cumsum(np.where(k // 4 % 2, -1.0, 1.0))  # turns every 4 steps
+        measured = np.column_stack([0.0005 * k, y, np.zeros(n)])
+        log = synthetic_log(times, measured, [5.0, 0, 0], dt)
+        assert oracle_oscillation_flag(log)
+        assert bench.oscillation_flag(log)
+        few = synthetic_log(times[:12], measured[:12], [5.0, 0, 0], dt)
+        assert not oracle_oscillation_flag(few) and not bench.oscillation_flag(few)
 
 
 class TestOscillationAndStall:

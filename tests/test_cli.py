@@ -310,6 +310,19 @@ class TestRun:
         [row] = bench.compare([bench.load_scenario(spath)], methods=("safedmp",))
         assert row.error in err
 
+    def test_start_within_goal_tol_rejected(self, model_path, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "free_sshape.json").read_text())
+        doc["execution"]["goal_tol"] = 10.0
+        spath = tmp_path / "near.json"
+        spath.write_text(json.dumps(doc))
+        code = run_cli("run", "--model", str(model_path), "--scenario", str(spath),
+                       "--out", str(tmp_path / "near"))
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "m from the goal, within goal_tol=10.0" in err
+        assert "samples" not in err
+        assert not any(tmp_path.glob("near_*"))
+
     def test_timing_fills_metrics_and_keeps_the_log(self, model_path, tmp_path):
         scenario = SCENARIO_DIR / "static_one_sshape.json"
         for tag, extra in (("plain", ()), ("timed", ("--timing",))):

@@ -321,6 +321,21 @@ class TestRollout:
         res = dmp.rollout(m, 0.005, horizon=0.2)
         assert not res.converged
 
+    def test_start_within_goal_tol_rejected_before_stepping(self, monkeypatch):
+        m = zero_weight_model(d=2, x0=[0.0, 0.0], g=[0.03, 0.04])
+        res = dmp.rollout(m, 0.005, horizon=0.1, goal_tol=0.05, stop_at_goal=False)
+        assert res.steps == 20
+
+        def no_stepping(*args, **kwargs):
+            pytest.fail("the rollout stepped")
+
+        monkeypatch.setattr(dmp, "attractor_step", no_stepping)
+        for goal_tol in (0.05, 10.0):
+            with pytest.raises(InvalidInputError, match="goal_tol") as got:
+                dmp.rollout(m, 0.005, horizon=0.1, goal_tol=goal_tol)
+            assert type(got.value) is InvalidInputError
+            assert "0.05 m from the goal" in str(got.value)
+
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(InvalidInputError):
@@ -699,9 +714,11 @@ class TestRolloutOracle:
             points, velocities, phases, steps, converged = oracle_rollout(
                 twin, dt, horizon, goal_tol, stop_at_goal
             )
-            if steps == 0:  # a one-point trajectory is refused
-                with pytest.raises(InsufficientDataError):
+            if steps == 0:  # the start passes the goal test: refused up front
+                with pytest.raises(InvalidInputError, match="goal_tol") as got:
                     dmp.rollout(m, dt, horizon, goal_tol, stop_at_goal)
+                assert type(got.value) is InvalidInputError
+                assert stop_at_goal and math.dist(m.x0, m.g) <= goal_tol
                 continue
             got = dmp.rollout(m, dt, horizon, goal_tol, stop_at_goal)
             assert np.array_equal(bits(got.trajectory.points), bits(points))

@@ -46,6 +46,26 @@ class TestTimedTrajectory:
         with pytest.raises(InvalidInputError):
             make_traj([0.0, 1.0], [[0.0]])
 
+    finite_times = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+        min_size=2, max_size=8,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_times | finite_times.map(sorted))
+    def test_increasing_check_is_the_diff_test(self, times):
+        """For finite times, ``t[1:] > t[:-1]`` is ``np.diff(t) > 0``: a
+        difference is zero only for equal operands, and an overflow keeps
+        its sign."""
+        increasing = not np.any(np.diff(np.asarray(times)) <= 0)
+        points = np.zeros((len(times), 1))
+        if increasing:
+            assert make_traj(times, points).times.tolist() == times
+        else:
+            with pytest.raises(InvalidInputError, match="strictly increasing"):
+                make_traj(times, points)
+
     def test_immutability(self):
         traj = make_traj([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(ValueError):
@@ -108,6 +128,48 @@ class TestResample:
         traj = make_traj([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(InvalidInputError):
             tj.resample(traj, 1)
+
+    @staticmethod
+    def interpolated(traj, n):
+        """Every column interpolated onto the n-point grid of the span."""
+        grid = np.linspace(traj.times[0], traj.times[-1], n)
+        columns = [np.interp(grid, traj.times, c) for c in traj.points.T]
+        return grid, np.column_stack(columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-10.0, 10.0), st.floats(1e-3, 100.0), st.integers(2, 300),
+        st.integers(1, 4), st.integers(0, 2**32 - 1),
+    )
+    def test_trajectory_on_its_grid_is_returned_as_is(self, t0, span, n, d, seed):
+        """Its interpolation at its own knots gives the same bits, -0.0
+        included, so the trajectory itself is the result."""
+        times = np.linspace(t0, t0 + span, n)
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, d)) * (rng.uniform(size=(n, d)) > 0.3)
+        points[rng.uniform(size=(n, d)) < 0.2] = -0.0
+        traj = make_traj(times, points)
+        assert tj.resample(traj, n) is traj
+        grid, interpolated = self.interpolated(traj, n)
+        assert grid.tobytes() == traj.times.tobytes()
+        assert interpolated.tobytes() == traj.points.tobytes()
+
+    @pytest.mark.parametrize("times", [
+        np.arange(7) * 0.1,  # 0.6 / 6 * k is not 0.1 * k on every sample
+        [0.0, 0.1, 0.3, 0.35, 0.5, 0.9, 1.0],
+        [-0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5],  # linspace starts at +0.0
+    ], ids=["arange", "uneven", "negative-zero start"])
+    def test_trajectory_off_the_grid_is_interpolated(self, times):
+        points = np.column_stack([np.sin(times), -np.asarray(times) ** 2])
+        traj = make_traj(times, points)
+        grid, interpolated = self.interpolated(traj, traj.n)
+        assert grid.tobytes() != traj.times.tobytes()
+        for n in (traj.n, 5, 20):
+            grid, interpolated = self.interpolated(traj, n)
+            out = tj.resample(traj, n)
+            assert out is not traj
+            assert out.times.tobytes() == grid.tobytes()
+            assert out.points.tobytes() == interpolated.tobytes()
 
 
 class TestLowPass:
