@@ -187,6 +187,11 @@ def mae(
     return float(np.mean(np.abs(a - b)))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)`` of a float array, without its wrapper."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _deviation_from_nominal(
     log: safe_exec.ExecutionLog, nominal: trajectory.TimedTrajectory
 ) -> np.ndarray:
@@ -196,11 +201,6 @@ def _deviation_from_nominal(
     for i in range(nominal.d):
         ref[:, i] = np.interp(times, nominal.times, nominal.points[:, i])
     return _row_norms(measured - ref)
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v, axis=1)`` of a float array, without its wrapper."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def convergence_time_perturb(

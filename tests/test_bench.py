@@ -117,6 +117,13 @@ class TestConvergenceTimePerturb:
         conv = bench.convergence_time_perturb(log, nominal, [pert], dwell=10)
         assert conv == pytest.approx(23 * self.dt - 0.1)
 
+    @pytest.mark.parametrize("dwell", [0, -1, -10])
+    def test_dwell_below_one_rejected(self, dwell):
+        log, nominal = self.make_log([0.0] * 50)
+        pert = bench.Perturbation(t_apply=0.1, offset=np.zeros(3))
+        with pytest.raises(InvalidInputError, match="dwell"):
+            bench.convergence_time_perturb(log, nominal, [pert], dwell=dwell)
+
 
 def oracle_convergence_time_perturb(log, nominal, perturbations, tol, dwell):
     """The metric as a candidate loop: from each impulse on, one window of
@@ -182,13 +189,6 @@ class TestConvergenceSearchOracle:
     def test_matches_candidate_loop(self, case):
         got = bench.convergence_time_perturb(*case)
         assert got.hex() == oracle_convergence_time_perturb(*case).hex()
-
-    @pytest.mark.parametrize("dwell", [0, -1, -10])
-    def test_dwell_below_one_rejected(self, dwell):
-        log, nominal = TestConvergenceTimePerturb().make_log([0.0] * 50)
-        pert = bench.Perturbation(t_apply=0.1, offset=np.zeros(3))
-        with pytest.raises(InvalidInputError, match="dwell"):
-            bench.convergence_time_perturb(log, nominal, [pert], dwell=dwell)
 
 
 class TestConvergenceTimeOa:
