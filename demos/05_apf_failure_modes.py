@@ -35,7 +35,6 @@ def main():
         np.diff(log_apf.x_measured, axis=0) / log_apf.dt, axis=1
     )
     print(f"\ndmp-apf: converged={log_apf.converged}, "
-          f"stall detected={bench.stall_detected(log_apf)}, "
           f"oscillation={bench.oscillation_flag(log_apf)}, "
           f"collisions={bench.collision_count(log_apf)}")
     print(f"         final position x={log_apf.x_measured[-1, 0]:.3f} m "

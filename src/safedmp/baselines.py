@@ -23,7 +23,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import dmp
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PhaseStepError
 from .safe_exec import DEFAULT_DELTA_GAMMA, DEFAULT_DT, Engine
 from .trajectory import TimedTrajectory
 
@@ -127,8 +127,9 @@ class ApfEngine(Engine):
     :func:`default_max_force` once, here.  The log's
     ``xn_*`` columns report ``nominal_reference``: step k logs its point k,
     or its last point once the run outlasts it.  The reference stays an
-    array: :meth:`seek` returns its rows for a replayed prefix as a slice,
-    and the stepped rows convert only the points from the seek point on.
+    array: :meth:`seek` returns its rows for a replayed prefix or a coasted
+    block as a slice, and the stepped rows convert only the points from the
+    last seek point on.
     """
 
     def __init__(
@@ -147,10 +148,10 @@ class ApfEngine(Engine):
         if self.params.max_force is None:
             self.params = replace(self.params, max_force=default_max_force(model))
         d0 = self.params.d0
-        self.reach = max((row[2] if d0 is None else d0 for row in self._table),
-                         default=0.0)
+        self.reaches = tuple(row[2] if d0 is None else d0 for row in self._table)
         self._reference = nominal_reference.points
         self._nominal = chain.from_iterable(_reference_rows(self._reference, 0))
+        self._free = True  # the last step's repulsion was exactly zero
 
     def control(self, x_measured: Sequence[float], t: float) -> list:
         """One control computation; advances the internal state.
@@ -166,6 +167,7 @@ class ApfEngine(Engine):
         self._k += 1
         if self._table:
             f_apf = apf_force(x, self._table, t, self.params).tolist()
+            self._free = not any(f_apf)
             tau2 = tau**2
             f_total = [f_e + f_a * tau2 for f_e, f_a in zip(f_ext, f_apf)]
         else:  # no repulsion: the bits of f_e + 0.0 * tau**2
@@ -177,12 +179,30 @@ class ApfEngine(Engine):
         return self._x
 
     def seek(self, k: int, x: list, v: list, z: float) -> np.ndarray:
+        xn, missing = self._reference[self._k:k], k - max(self._k, len(self._reference))
+        if missing > 0:  # the run outlasts the reference: pad with its last point
+            xn = np.concatenate((xn, np.repeat(self._reference[-1:], missing, axis=0)))
         super().seek(k, x, v, z)
         self._nominal = chain.from_iterable(_reference_rows(self._reference, k))
-        xn = self._reference[:k]
-        if len(xn) < k:  # the run outlasts the reference: pad with its last point
-            xn = np.concatenate((xn, np.repeat(xn[-1:], k - len(xn), axis=0)))
         return xn
+
+    def _coast_chain(self, x_measured: list, n: int):
+        """Tried after a step whose repulsion was zero, step k coasts when no
+        obstacle is within its reach of ``x_measured``, adopted as ``x_k``;
+        the repulsion is then exactly zero, so the step is a forcing row plus
+        ``0.0``."""
+        if not self._free:
+            return None
+        tau, z = self.tau, self.z
+        phases = [z]
+        for _ in range(n):
+            try:
+                z = dmp.phase_step(z, tau, self.dt, self.model.alpha_z)
+            except (InvalidInputError, PhaseStepError):
+                break  # the stepped control raises at this step
+            phases.append(z)
+        forces = dmp.forcing_rows(self.model, np.array(phases[:-1])) + 0.0
+        return x_measured, [tau] * len(phases), phases, forces.tolist()
 
     def step(self, x_measured: Sequence[float], t: float) -> list:
         """Control computation plus one log row; returns the command, the

@@ -35,9 +35,6 @@ DEFAULT_PERTURBATION_FRACTIONS = (0.25, 0.60)
 OSCILLATION_MAX_REVERSALS = 5
 OSCILLATION_WINDOW_S = 0.5
 OSCILLATION_SMOOTH_S = 0.1
-#: :func:`stall_detected`: speed below this, away from the goal, for this long.
-STALL_SPEED_TOL = 1e-4
-STALL_MIN_DURATION_S = 1.0
 
 #: Radius range of :func:`random_static_blocker`'s spheres.
 BLOCKER_RADIUS_RANGE = (0.03, 0.08)
@@ -295,27 +292,6 @@ def oscillation_flag(log: safe_exec.ExecutionLog) -> bool:
     window = min(dmp.step_cap(OSCILLATION_WINDOW_S, dt), len(onsets))
     csum = np.concatenate(([0], np.cumsum(onsets)))
     return bool((csum[window:] - csum[:-window] > OSCILLATION_MAX_REVERSALS).any())
-
-
-def stall_detected(log: safe_exec.ExecutionLog) -> bool:
-    """True when the motion sits nearly still (:data:`STALL_SPEED_TOL`) for
-    :data:`STALL_MIN_DURATION_S`, farther than ten goal tolerances
-    (``10 * dmp.DEFAULT_GOAL_TOL``) from the goal."""
-    if log.steps < 3:
-        return False
-    measured = log.x_measured
-    dt = log.dt
-    speed = np.linalg.norm(np.diff(measured, axis=0) / dt, axis=1)
-    goal_radius = 10 * dmp.DEFAULT_GOAL_TOL
-    away = np.linalg.norm(measured[:-1] - log.goal[None, :], axis=1) > goal_radius
-    stalled = (speed < STALL_SPEED_TOL) & away
-    needed = int(round(STALL_MIN_DURATION_S / dt))
-    run_length = 0
-    for flag in stalled:
-        run_length = run_length + 1 if flag else 0
-        if run_length >= needed:
-            return True
-    return False
 
 
 # --- scenario execution ---------------------------------------------------------

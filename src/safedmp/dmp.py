@@ -179,7 +179,7 @@ def _gated(w_psi, z, total, amplitude):
     """The forcing formula ``amplitude * ((W psi * z) / total)``, given the
     matvec ``W psi`` and the sum ``total`` of the activations at phase ``z``;
     evaluated on floats per dimension for one phase (:func:`forcing`) and on
-    arrays for a table block (:func:`_extend_table`), same IEEE operations."""
+    arrays for a block of phases (:func:`forcing_rows`), same IEEE operations."""
     return amplitude * ((w_psi * z) / total)
 
 
@@ -254,22 +254,27 @@ def _extend_table(model: DmpModel, dt: float, table, max_steps: int | None):
     grid = np.full(count + 1, factor)
     grid[0] = phases[n]
     grid = np.multiply.accumulate(grid, out=grid)
-    grid_list = grid.tolist()
-    z = grid[:-1, None]
+    f = forcing_rows(model, grid[:-1])
+    forces.extend(map(tuple, f.tolist()))
+    phases.extend(grid[1 : len(f) + 1].tolist())
+
+
+def forcing_rows(model: DmpModel, z: np.ndarray) -> np.ndarray:
+    """``forcing(model, z_k)`` for each phase of the 1-D array ``z``, bit for
+    bit, as the rows of a (K, d) array computed in one numpy pass.  The rows
+    stop before the first phase at which :func:`forcing` would raise (outside
+    (0, 1], or a basis sum below 1e-300)."""
+    z = z[:, None]
     psi = _activations(model, z)
     total = np.add.reduce(psi, axis=-1, keepdims=True)
-    # the grid starts at most 1 and never grows, so its phases lie in (0, 1]
-    # if its last does; the mask is needed only when a phase fails
-    if not (grid_list[count - 1] > 0.0 and total.min() >= 1e-300):
-        bad = np.flatnonzero(~((z > 0.0) & (z <= 1.0) & (total >= 1e-300)))
-        count = int(bad[0])
+    ok = (z > 0.0) & (z <= 1.0) & (total >= 1e-300)
+    if not ok.all():
+        count = int(np.argmin(ok))
         z, psi, total = z[:count], psi[:count], total[:count]
     # numpy's stacked matmul over psi columns runs the gemv of ``weights.dot(psi)``
     # per row, so a row equals forcing() bit for bit; one gemm would not
     w_psi = np.matmul(model.weights, psi[..., None])[..., 0]
-    f = _gated(w_psi, z, total, model.amplitude)
-    forces.extend(map(tuple, f.tolist()))
-    phases.extend(grid_list[1 : count + 1])
+    return _gated(w_psi, z, total, model.amplitude)
 
 
 def target_forcing(

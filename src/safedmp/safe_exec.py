@@ -28,12 +28,15 @@ from operator import sub
 import numpy as np
 
 from . import dmp
-from .errors import InvalidInputError, SafetyInfeasibleError
+from .errors import InvalidInputError, PhaseStepError, SafetyInfeasibleError
 
 DEFAULT_DT = 0.005
 DEFAULT_DELTA_GAMMA = 0.1
 DEFAULT_STT_GAIN = 5e-4
 DEFAULT_CLIP_LIMIT = 0.99
+
+#: Most steps of one of :func:`run`'s coasting blocks.
+COAST_BLOCK = 64
 
 #: Slack allowed when verifying a projected point against a clearance sphere.
 PROJECTION_TOL = 1e-9
@@ -386,7 +389,8 @@ def clocked(control, seconds: list):
 class Engine:
     """What :func:`run`, :func:`~.bench.timing_harness` and the benchmark
     read from an engine; a method subclasses it and adds its own
-    parameters, ``control`` and ``step``.
+    parameters, ``control``, ``step`` and ``_coast_chain`` (see
+    :meth:`coast`).
 
     The constructor checks the arguments every method shares (a positive
     finite ``dt``, obstacles of the model's dimension), builds ``_table``,
@@ -398,10 +402,10 @@ class Engine:
     ``_x_measured``, which ``step`` logs in its row of ``rows``.  With
     ``timed=True`` each ``control`` call appends its wall time to
     ``step_seconds`` (see :func:`clocked`); otherwise no step reads a clock
-    and ``step_seconds`` stays empty.  A method sets ``reach``, a surface
-    clearance at and above which its control law ignores an obstacle.
-    :meth:`goal_distance` is the primitive's side of the package's one goal
-    test, ``math.dist(x, g) <= goal_tol``.
+    and ``step_seconds`` stays empty.  A method sets ``reaches``, per
+    obstacle the surface clearance at and above which its control law
+    ignores it.  :meth:`goal_distance` is the primitive's side of the
+    package's one goal test, ``math.dist(x, g) <= goal_tol``.
     """
 
     def __init__(
@@ -445,11 +449,41 @@ class Engine:
         return math.dist(self._x, self._g)
 
     def seek(self, k: int, x: list, v: list, z: float):
-        """Take the state after ``k`` steps with nothing to correct, a
-        rollout's ``x_k``, ``v_k`` and ``z_k``; :func:`run` logs their rows.
-        Returns their ``xn_*`` columns, a (k, d) array, if not the rollout's
-        points."""
+        """Take the state after step ``k - 1``, reached from the current step
+        by steps with nothing to correct: ``x_k``, ``v_k`` and ``z_k``;
+        :func:`run` logs their rows.  Returns their ``xn_*`` columns, an
+        array, if not the positions the steps started from."""
         self._k, self._x, self._v, self.z = k, x, v, z
+
+    def coast(self, x_measured: list, k: int, n: int) -> np.ndarray | None:
+        """Take up to ``n`` steps from step k at once while they have nothing
+        to correct, and return the rows :meth:`step` would log for them; None
+        if the method's ``_coast_chain`` says step k is not such a step.  The
+        chain gives ``x_k`` and the steps' time scales, phases and forcing
+        rows, cut before any step at which ``control`` would raise;
+        :func:`dmp.attractor_step` gives the positions, and the leading steps
+        that pass :func:`_screen` are taken.
+        """
+        chain = self._coast_chain(x_measured, n)
+        if chain is None:
+            return None
+        x, taus, phases, forces = chain
+        model, dt, v, g = self.model, self.dt, self._v, self._g
+        points, velocities = [x], [v]
+        for f, tau in zip(forces, taus):
+            x, v = dmp.attractor_step(x, v, f, g, tau, dt, model.alpha, model.beta)
+            points.append(x)
+            velocities.append(v)
+        xs = np.array(points)
+        c = _screen(self, k, xs)
+        xn = self.seek(k + c, points[c], velocities[c], phases[c]) if c else None
+        self.tau = taus[c]
+        rows = np.column_stack((
+            np.arange(k, k + c) * dt, xs[:c] if xn is None else xn,
+            xs[1:c + 1], xs[1:c + 1], xs[:c], taus[1:c + 1], phases[1:c + 1],
+        ))
+        rows[:1, 1 + 3 * model.d: 1 + 4 * model.d] = x_measured  # as given, zero signs too
+        return rows
 
 
 class SafeDmpEngine(Engine):
@@ -493,7 +527,7 @@ class SafeDmpEngine(Engine):
         self._fallback[-1] = 1.0
         self._gains = (model.alpha, model.beta, model.alpha_z)
         self._coupling = (model.alpha_e, model.k_c, model.tau_nominal)
-        self.reach = 0.5 * safety.delta_gamma
+        self.reaches = (0.5 * safety.delta_gamma,) * len(self.obstacles)
 
     def control(self, x_measured: Sequence[float], t: float) -> tuple:
         """One control computation; advances the internal state.
@@ -555,6 +589,36 @@ class SafeDmpEngine(Engine):
         super().seek(k, x, v, z)
         self._x_safe_prev = x
 
+    def _coast_chain(self, x_measured: list, n: int):
+        """Step k coasts when ``x_measured``, the last safe point and ``x_k``
+        are equal and its target clears every clearance sphere; the tube law
+        and the coupling then see no deviation, so the time scales and phases
+        follow from ``coupling_step`` and ``phase_step`` alone."""
+        x = self._x
+        if not x_measured == self._x_safe_prev == x:
+            return None
+        zero = [0.0] * len(x)
+        ec, tau, z = self._ec, self.tau, self.z
+        # the coupling errors, kept for :meth:`coast` to take the last one
+        self._ecs, taus, phases = [ec], [tau], [z]
+        for _ in range(n):
+            ec, tau = coupling_step(ec, zero, zero, self.dt, *self._coupling)
+            try:
+                z = dmp.phase_step(z, tau, self.dt, self._gains[2])
+            except (InvalidInputError, PhaseStepError):
+                break  # the stepped control raises at this step
+            self._ecs.append(ec)
+            taus.append(tau)
+            phases.append(z)
+        forces = dmp.forcing_rows(self.model, np.array(phases[:-1]))
+        return x, taus, phases, forces.tolist()
+
+    def coast(self, x_measured: list, k: int, n: int) -> np.ndarray | None:
+        rows = super().coast(x_measured, k, n)
+        if rows is not None:
+            self._ec = self._ecs[len(rows)]
+        return rows
+
     def _note_motion(self, x_safe) -> None:
         d = len(x_safe)
         motion = [x_safe[i] - self._x_safe_prev[i] for i in range(d)]
@@ -599,30 +663,46 @@ def surface_clearance(obstacles, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return best
 
 
+def _screen(engine, k: int, points: np.ndarray) -> int:
+    """How many of the steps k, k+1, ... through ``points`` (``x_k`` to
+    ``x_{k+n}``) have nothing to correct: the steps before the first whose
+    ``x_j`` or ``x_{j+1}`` is not finite or lies within an obstacle's reach
+    (``engine.reaches``, plus rounding slack) at ``t_j``, and at most up to
+    the first whose ``x_{j+1}`` passes :func:`run`'s goal test, which ends
+    the run.  The one screen of the replayed prefix and the coasted blocks.
+    """
+    n, goal_tol = len(points) - 1, engine.goal_tol
+    # the largest coordinate gap is at most math.dist, with no squares to
+    # overflow or underflow, so the screen keeps every point that passes;
+    # it is not finite where the point is not
+    gap = np.abs(points - engine.model.g).max(axis=1)
+    for j in np.flatnonzero(gap[1:] <= 2.0 * goal_tol):
+        if math.dist(points[j + 1].tolist(), engine._g) <= goal_tol:
+            n = int(j) + 1
+            break
+    finite = np.isfinite(gap)
+    clear = finite[:n] & finite[1:n + 1]
+    if engine.obstacles:
+        t = np.arange(k, k + n) * engine.dt
+        t, both = np.concatenate((t, t)), np.concatenate((points[:n], points[1:n + 1]))
+        slack = 1e-9 * (1.0 + max(engine.reaches)
+                        + max(o.radius for o in engine.obstacles))
+        for obs, reach in zip(engine.obstacles, engine.reaches):
+            gaps = surface_clearance((obs,), t, both).reshape(2, n)
+            clear &= (gaps >= reach + slack).all(axis=0)
+    blocked = np.flatnonzero(~clear)
+    return int(blocked[0]) if blocked.size else n
+
+
 def _free_prefix(engine, nominal, offsets: dict, max_steps: int) -> np.ndarray:
     """The rows of the run's first steps that the rollout ``nominal`` holds,
-    with ``engine`` moved past them (:meth:`Engine.seek`).  Step k is free
-    while no perturbation has come and no obstacle is within the engine's
-    ``reach`` (plus rounding slack) of ``x_k`` or ``x_{k+1}`` at ``t_k``;
-    the prefix ends at the rollout's end, the step cap, or the first
-    ``x_{k+1}`` that passes :func:`run`'s goal test.
+    with ``engine`` moved past them (:meth:`Engine.seek`): the steps before
+    the first perturbation, the rollout's end or the step cap that pass
+    :func:`_screen`.
     """
-    points, goal_tol = nominal.trajectory.points, engine.goal_tol
+    points = nominal.trajectory.points
     n = max(0, min(max_steps, nominal.steps, *offsets))
-    # the largest coordinate gap is at most math.dist, with no squares to
-    # overflow or underflow, so the screen keeps every point that passes
-    gap = np.abs(points[1:n + 1] - engine.model.g).max(axis=1)
-    for k in np.flatnonzero(gap <= 2.0 * goal_tol):
-        if math.dist(points[k + 1].tolist(), engine._g) <= goal_tol:
-            n = int(k) + 1
-            break
-    if engine.obstacles:
-        t = np.arange(n) * engine.dt
-        clear = np.minimum(surface_clearance(engine.obstacles, t, points[:n]),
-                           surface_clearance(engine.obstacles, t, points[1:n + 1]))
-        slack = 1e-9 * (1.0 + engine.reach + max(o.radius for o in engine.obstacles))
-        blocked = np.flatnonzero(~(clear >= engine.reach + slack))
-        n = int(blocked[0]) if blocked.size else n
+    n = _screen(engine, 0, points[:n + 1])
     xn = engine.seek(n, points[n].tolist(), nominal.velocities[n], nominal.phases[n])
     return np.column_stack((
         np.arange(n) * engine.dt,
@@ -642,12 +722,12 @@ def run(
     """Drive an :class:`Engine` against a simulated plant until the goal or
     a cap.
 
-    The package's one closed loop: every engine run, and every step that
-    :func:`~.bench.timing_harness` times, is one ``engine.step`` call here
-    (the engine logs one row, and a timed engine times its ``control``
-    call).  The run ends once the engine and the plant both pass the one
-    goal test, ``math.dist(x, g) <= engine.goal_tol``.  The plant
-    realizes each command one control period later; perturbations displace
+    The package's one closed loop: every engine run goes through here, and
+    each step of a timed engine (those :func:`~.bench.timing_harness`
+    times) is one ``engine.step`` call, which logs one row and times the
+    engine's ``control``.  The run ends once the engine and the plant both
+    pass the one goal test, ``math.dist(x, g) <= engine.goal_tol``.  The
+    plant realizes each command one control period later; perturbations displace
     the measured position for exactly one step.  Safety infeasibility flags
     the log and stops the run instead of propagating.  A start inside an
     obstacle active at t=0 (by :func:`surface_clearance`) is an input error,
@@ -657,10 +737,13 @@ def run(
     The log's wall times are the mean and p99 of a timed engine's
     ``step_seconds``, and None for an untimed one.
 
-    ``nominal`` is None or a rollout of ``engine.model`` at ``engine.dt``,
-    from which an untimed engine under :class:`IdealPlant` replays the run's
-    free prefix (:func:`_free_prefix`) instead of stepping it: a free step
-    is the rollout's step, bit for bit, so the log is the stepped run's.
+    An untimed engine under :class:`IdealPlant` takes the steps with
+    nothing to correct without stepping them, and logs the stepped run bit
+    for bit: it replays its free prefix (:func:`_free_prefix`) from
+    ``nominal``, None or a rollout of ``engine.model`` at ``engine.dt``,
+    and coasts through later stretches in blocks (:meth:`Engine.coast`) of
+    up to :data:`COAST_BLOCK` steps; a block cut short backs off the next
+    try by 1, 2, 4, ... steps.
     """
     if plant is None:
         plant = IdealPlant()
@@ -690,38 +773,62 @@ def run(
     plant.reset(x0)
 
     width = 4 * model.d + 3
+    coasting = type(plant) is IdealPlant and not engine.timed
     prefix = np.empty((0, width))
-    if (nominal is not None and type(plant) is IdealPlant and not engine.timed
-            and nominal.model is model and nominal.dt == dt):
+    if (coasting and nominal is not None and nominal.model is model
+            and nominal.dt == dt):
         prefix = _free_prefix(engine, nominal, offsets, max_steps)
-    m = len(prefix)
-    x_measured = (nominal.trajectory.points[m] if m else x0).tolist()
-    if m in offsets:
-        x_measured = [x + o for x, o in zip(x_measured, offsets[m])]
+    k = len(prefix)
+    x_measured = (nominal.trajectory.points[k] if k else x0).tolist()
+    if k in offsets:
+        x_measured = [x + o for x, o in zip(x_measured, offsets[k])]
 
     step, track, goal_distance = engine.step, plant.track, engine.goal_distance
     g = model.g.tolist()
     # the goal test that ended the prefix's last step, as in the loop
-    converged = m > 0 and (goal_distance() <= goal_tol
+    converged = k > 0 and (goal_distance() <= goal_tol
                            and math.dist(x_measured, g) <= goal_tol)
     infeasible = False
-    for k in range(max_steps if converged else m, max_steps):
-        try:
-            x_desired = step(x_measured, k * dt)
-        except SafetyInfeasibleError:
-            infeasible = True
-            break
-        x_measured = track(x_desired)
-        if k + 1 in offsets:
-            x_measured = [x + o for x, o in zip(x_measured, offsets[k + 1])]
-        if goal_distance() <= goal_tol and math.dist(x_measured, g) <= goal_tol:
-            converged = True
-            break
+    blocks = [(0, prefix)]  # (rows stepped before it, the block's rows)
+    # the step that ended a replayed prefix has something to correct (or a
+    # perturbation), so the first block is tried after it
+    wait, retry, stop = 1, k + 1 if k else 0, k
+    while k < max_steps and not converged:
+        block = None
+        if coasting and k >= retry:
+            if k >= stop:  # a block ends at the next perturbation or the cap
+                stop = min([max_steps, *(p for p in offsets if p > k)])
+            n = min(COAST_BLOCK, stop - k)
+            block = engine.coast(x_measured, k, n)
+            if block is not None and len(block) < n:  # cut short: back off
+                wait, retry = 2 * wait, k + len(block) + wait
+            elif block is not None:
+                wait = 1
+        if block is not None and len(block):
+            blocks.append((len(engine.rows), block))
+            k += len(block)
+            # the ideal plant realizes the block's last command
+            x_measured = block[-1, 1 + 2 * model.d: 1 + 3 * model.d].tolist()
+        else:
+            try:
+                x_desired = step(x_measured, k * dt)
+            except SafetyInfeasibleError:
+                infeasible = True
+                break
+            x_measured = track(x_desired)
+            k += 1
+        if k in offsets:
+            x_measured = [x + o for x, o in zip(x_measured, offsets[k])]
+        converged = goal_distance() <= goal_tol and math.dist(x_measured, g) <= goal_tol
 
     stepped = np.fromiter(
         chain.from_iterable(engine.rows), float, count=len(engine.rows) * width
     ).reshape(-1, width)
-    rows = np.concatenate((prefix, stepped))
+    pieces, start = [], 0
+    for at, block in blocks:
+        pieces += (stepped[start:at], block)
+        start = at
+    rows = np.concatenate((*pieces, stepped[start:]))
     x_measured = rows[:, 1 + 3 * model.d: 1 + 4 * model.d]
     clearance = surface_clearance(engine.obstacles, rows[:, 0], x_measured)
     seconds = engine.step_seconds

@@ -16,6 +16,7 @@ from safedmp import baselines, bench, cli, dmp, safe_exec
 from safedmp import trajectory as tj
 
 import stt_oracle
+from stall import stall_detected
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -224,7 +225,7 @@ def test_08_baseline_failure_demonstration(straight_line_model):
         straight_line_model, nominal.trajectory, obstacles=[obs], dt=0.005
     )
     log_apf = safe_exec.run(engine)
-    stalled = bench.stall_detected(log_apf)
+    stalled = stall_detected(log_apf)
     violated = bench.collision_count(log_apf) > 0
     assert stalled or violated
 

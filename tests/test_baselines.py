@@ -9,6 +9,8 @@ from safedmp import baselines, bench, dmp, safe_exec
 from safedmp.errors import InvalidInputError
 from safedmp.trajectory import TimedTrajectory
 
+from stall import stall_detected
+
 
 def table(*obstacles, delta_gamma=safe_exec.DEFAULT_DELTA_GAMMA):
     return safe_exec.obstacle_table(obstacles, delta_gamma)
@@ -259,7 +261,7 @@ class TestApfRun:
         log = safe_exec.run(baselines.ApfEngine(
             straight_line_model, nominal.trajectory, obstacles=[obs]
         ))
-        stalled = bench.stall_detected(log)
+        stalled = stall_detected(log)
         collided = bench.collision_count(log) > 0
         assert stalled or collided
 
@@ -338,12 +340,19 @@ class TestObstacleFreeSteps:
         log = safe_exec.run(engine, perturbations=standard_impulses)
         assert log.converged and log.steps > 300
         assert calls == []
+        # a far obstacle: the timed engine steps every row and calls the force
+        # on each; the untimed run coasts through the same rows
         obs = safe_exec.Obstacle(center0=[5.0, 5.0, 5.0], radius=0.1)
-        engine = baselines.ApfEngine(
-            sshape_model, sshape_nominal.trajectory, obstacles=[obs]
-        )
-        log = safe_exec.run(engine, perturbations=standard_impulses)
-        assert len(calls) == log.steps
+        engines = [
+            baselines.ApfEngine(sshape_model, sshape_nominal.trajectory,
+                                obstacles=[obs], timed=timed)
+            for timed in (True, False)
+        ]
+        stepped = safe_exec.run(engines[0], perturbations=standard_impulses)
+        assert len(calls) == stepped.steps
+        coasted = safe_exec.run(engines[1], perturbations=standard_impulses)
+        assert len(calls) < 2 * stepped.steps
+        assert coasted.rows.tobytes() == stepped.rows.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -365,8 +374,10 @@ class TestObstacleFreeSteps:
         nominal = dmp.rollout(model, dt).trajectory
         logs = []
         for engine_class in (baselines.ApfEngine, ForcedApfEngine):
+            # the forced law is timed, so it steps every row
             logs.append(safe_exec.run(
-                engine_class(model, nominal, dt=dt),
+                engine_class(model, nominal, dt=dt,
+                             timed=engine_class is ForcedApfEngine),
                 plant=(safe_exec.IdealPlant() if plant == "ideal"
                        else safe_exec.FirstOrderLagPlant(0.05, dt)),
                 perturbations=perturbations,

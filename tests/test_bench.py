@@ -15,6 +15,8 @@ from safedmp.errors import (
     InvalidInputError, SafetyInfeasibleError, UndefinedMetricError,
 )
 
+from stall import stall_detected
+
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_PATHS = sorted(SCENARIO_DIR.glob("*.json"))
 
@@ -444,7 +446,7 @@ class TestOscillationAndStall:
         engine = safe_exec.SafeDmpEngine(sshape_model, dt=0.005)
         log = safe_exec.run(engine)
         assert not bench.oscillation_flag(log)
-        assert not bench.stall_detected(log)
+        assert not stall_detected(log)
 
     def test_ringing_flagged(self):
         dt = 0.005
@@ -480,7 +482,7 @@ class TestOscillationAndStall:
         times = np.arange(n) * dt
         measured = np.zeros((n, 3))
         log = synthetic_log(times, measured, [1.0, 0, 0], dt)
-        assert bench.stall_detected(log)
+        assert stall_detected(log)
 
 
 class TestScenarioIo:
@@ -637,7 +639,7 @@ class TestEvaluateAndCompare:
         assert (
             report.oscillation_flag
             or report.collision_count > 0
-            or bench.stall_detected(log)
+            or stall_detected(log)
         )
         safe_report = bench.evaluate(
             prepared, bench.run_scenario(prepared, "safedmp"), "safedmp"

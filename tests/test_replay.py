@@ -1,12 +1,17 @@
-"""A run that replays its free prefix from the rollout logs the stepped run.
+"""A run that replays or coasts through free steps logs the stepped run.
 
 ``safe_exec.run(..., nominal=rollout)`` copies the steps that the rollout
-already holds instead of stepping them.  These tests compare such runs with
-the same run stepped from its first step, bit for bit, over random
-obstacles, perturbations, goal tolerances and horizons, and check that the
-runs that must not replay (a timed engine, a lagging plant, a rollout of
-another ``dt`` or model) call ``control`` once per logged row.
+already holds instead of stepping them, and every untimed run under the
+ideal plant coasts through later steps with nothing to correct
+(``Engine.coast``).  A timed engine steps every row, so these tests compare
+such runs with the same run of a timed engine, bit for bit, over random
+obstacles, perturbations, goal tolerances and horizons.  The runs that must
+step every row (a timed engine, a lagging plant) call ``control`` once per
+logged row; a rollout of another ``dt`` or model is not replayed.
 """
+
+import collections
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,8 +20,10 @@ from hypothesis import strategies as st
 
 from safedmp import baselines, bench, dmp, safe_exec
 from safedmp import trajectory as tj
+from safedmp.errors import SafeDmpError
 
 DT = 0.005
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def build(method, model, rollout, obstacles=(), goal_tol=dmp.DEFAULT_GOAL_TOL,
@@ -41,6 +48,19 @@ def count_controls(engine) -> list:
 
     engine.control = counting
     return calls
+
+
+def count_coasts(engine) -> list:
+    """The steps at which the engine is asked to coast from here on."""
+    steps = []
+    coast = engine.coast
+
+    def counting(x_measured, k, n):
+        steps.append(k)
+        return coast(x_measured, k, n)
+
+    engine.coast = counting
+    return steps
 
 
 def assert_same_log(a, b):
@@ -100,14 +120,19 @@ def test_replay_equals_stepped_run(data, sshape_model, minjerk_model):
         d0=data.draw(st.none() | st.floats(0.01, 0.3)),
     )
 
-    # the unperturbed run's free prefix: its rows that the engine did not log
+    # the unperturbed run's free prefix: the steps before the engine's first
+    # control or coast call, and its last step
     probe = build(method, model, rollout, **args)
-    free = safe_exec.run(probe, max_steps=max_steps, nominal=rollout).steps
-    free -= len(probe.rows)
+    asked = count_controls(probe)
+    coasts = count_coasts(probe)
+    end = safe_exec.run(probe, max_steps=max_steps, nominal=rollout).steps
+    free = min([round(t / DT) for t in asked[:1]] + coasts[:1] + [end])
 
-    # perturbations at t=0, about the prefix's last step and past the rollout
+    # perturbations at t=0, about the prefix's last step, about the run's
+    # last step (whose goal test a perturbation changes) and past the rollout
     steps = st.sampled_from(
-        [0, max(free - 1, 0), free, free + 1, rollout.steps + 3]
+        [0, max(free - 1, 0), free, free + 1, max(end - 1, 0), end,
+         rollout.steps + 3]
     )
     perturbations = [
         bench.Perturbation(k * DT, 0.05 * np.array(offset))
@@ -115,15 +140,16 @@ def test_replay_equals_stepped_run(data, sshape_model, minjerk_model):
             st.lists(st.tuples(steps, st.tuples(unit, unit, unit)), max_size=3)
         )
     ]
-    replayed = safe_exec.run(
-        build(method, model, rollout, **args), perturbations=perturbations,
-        max_steps=max_steps, nominal=rollout,
-    )
     stepped = safe_exec.run(
-        build(method, model, rollout, **args), perturbations=perturbations,
-        max_steps=max_steps,
+        build(method, model, rollout, timed=True, **args),
+        perturbations=perturbations, max_steps=max_steps,
     )
-    assert_same_log(replayed, stepped)
+    for nominal in (rollout, None):  # replayed and coasted, coasted only
+        log = safe_exec.run(
+            build(method, model, rollout, **args), perturbations=perturbations,
+            max_steps=max_steps, nominal=nominal,
+        )
+        assert_same_log(log, stepped)
 
 
 @pytest.mark.parametrize("method", bench.METHODS)
@@ -139,6 +165,9 @@ def test_free_run_replays_every_row(method, sshape_model, sshape_nominal):
 @pytest.mark.parametrize("method", bench.METHODS)
 @pytest.mark.parametrize("case", ["timed", "lag", "other dt", "other model"])
 def test_runs_that_must_step_every_row(case, method, sshape_model, sshape_nominal):
+    """A timed engine and a lagging plant step every row; a rollout of
+    another ``dt`` or model object replays nothing, so the run coasts from
+    step 0 and logs the timed run's rows."""
     rollout, model, plant, timed = sshape_nominal, sshape_model, None, False
     if case == "timed":
         timed = True
@@ -150,10 +179,15 @@ def test_runs_that_must_step_every_row(case, method, sshape_model, sshape_nomina
         model = dmp.model_from_dict(dmp.model_to_dict(sshape_model))
     engine = build(method, model, sshape_nominal, timed=timed)
     calls = count_controls(engine)
+    coasts = count_coasts(engine)
     log = safe_exec.run(engine, plant=plant, nominal=rollout)
-    assert log.steps > 0 and len(calls) == log.steps
+    assert log.steps > 0
+    if case in ("timed", "lag"):
+        assert len(calls) == log.steps and coasts == []
+    else:
+        assert coasts[0] == 0 and len(calls) < log.steps
     if plant is None:
-        stepped = safe_exec.run(build(method, sshape_model, sshape_nominal))
+        stepped = safe_exec.run(build(method, sshape_model, sshape_nominal, timed=True))
         assert_same_log(log, stepped)
 
 
@@ -204,16 +238,76 @@ def test_apf_reference_shorter_than_the_prefix(length, sshape_model, sshape_nomi
 
 def test_apf_stepped_rows_follow_the_seek_point(sshape_model, sshape_nominal):
     """A perturbation ends the prefix at step 100 of a 120-point reference;
-    the stepped rows' reference columns go on from the seek point, bit for
-    bit as in the stepped run."""
+    the later rows' reference columns go on from the seek point, bit for bit
+    as in the timed run, and hold the reference's last point past its end."""
     reference = tj.TimedTrajectory(sshape_nominal.trajectory.times[:120],
                                    sshape_nominal.trajectory.points[:120] - 0.5)
     perturbations = [bench.Perturbation(100 * DT, np.array([0.02, -0.01, 0.0]))]
-    engines = [baselines.ApfEngine(sshape_model, reference, dt=DT) for _ in "ab"]
+    engines = [baselines.ApfEngine(sshape_model, reference, dt=DT, timed=timed)
+               for timed in (False, True)]
     calls = count_controls(engines[0])
     replayed, stepped = (
         safe_exec.run(engine, perturbations=perturbations, nominal=nominal)
         for engine, nominal in zip(engines, (sshape_nominal, None))
     )
-    assert calls[0] == 100 * DT and len(calls) == replayed.steps - 100
+    assert calls[0] == 100 * DT and len(calls) < replayed.steps - 100
     assert_same_log(replayed, stepped)
+    xn = replayed.rows[:, 1:4]
+    assert np.array_equal(xn[:120], reference.points)
+    assert np.array_equal(xn[120:], np.broadcast_to(reference.points[-1], xn[120:].shape))
+
+
+def raising_model(case):
+    """A d=2 model whose phase grid stops: the phase step passes zero at
+    step 0, the basis stops covering the phase at step 92, or the phase
+    underflows to exactly 0 at step 162."""
+    tau, alpha, widths = {
+        "phase step past zero": (0.01, 25.0, [3000.0, 3000.0]),
+        "degenerate basis": (0.5, 25.0, [3000.0, 3000.0]),
+        "phase underflow": (DT / 0.99, 6.0, [1.0, 1.0]),
+    }[case]
+    return dmp.DmpModel(
+        d=2, n_basis=2, alpha=alpha, tau_nominal=tau, x0=np.zeros(2),
+        g=np.array([1.0, -0.5]), centers=np.array([1.0, 0.5]),
+        widths=np.array(widths), weights=np.array([[1.0, -2.0], [0.5, 3.0]]),
+    )
+
+
+@pytest.mark.parametrize("method", bench.METHODS)
+@pytest.mark.parametrize(
+    "case", ["phase step past zero", "degenerate basis", "phase underflow"])
+def test_coasted_run_raises_where_the_stepped_run_does(case, method):
+    """A block stops before a step at which ``forcing_at`` or ``phase_step``
+    raises, so the run raises at that step, as the timed run does.  The
+    perturbation takes safedmp's phase off the grid first."""
+    model = raising_model(case)
+    reference = tj.TimedTrajectory(np.array([0.0, DT]), np.stack((model.x0, model.g)))
+    perturbations = [bench.Perturbation(20 * DT, np.array([0.01, -0.02]))]
+    raised = []
+    for timed in (True, False):
+        if method == "safedmp":
+            engine = safe_exec.SafeDmpEngine(model, dt=DT, goal_tol=0.0, timed=timed)
+        else:
+            engine = baselines.ApfEngine(model, reference, dt=DT, goal_tol=0.0,
+                                         timed=timed)
+        with pytest.raises(SafeDmpError) as err:
+            safe_exec.run(engine, perturbations=perturbations, max_steps=1000)
+        raised.append((type(err.value), str(err.value), engine._k, engine.z))
+    assert raised[0] == raised[1]
+
+def test_canned_pass_control_traffic(monkeypatch):
+    """The ``control`` calls of one ``bench.compare`` pass over
+    ``scenarios/``, main runs and twins, that replay and coasting leave to
+    step (6845 safedmp and 8712 dmp-apf rows are logged).  A gate that
+    stops a block from being taken shows up here as a count."""
+    calls = collections.Counter()
+    for engine_class in (safe_exec.SafeDmpEngine, baselines.ApfEngine):
+        def counting(self, x_measured, t, control=engine_class.control,
+                     name=engine_class.__name__):
+            calls[name] += 1
+            return control(self, x_measured, t)
+
+        monkeypatch.setattr(engine_class, "control", counting)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        bench.compare([bench.load_scenario(path)])
+    assert dict(calls) == {"SafeDmpEngine": 477, "ApfEngine": 1900}

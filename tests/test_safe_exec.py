@@ -427,23 +427,35 @@ class TestFloatPath:
             sshape_nominal.trajectory, np.random.default_rng(0)
         )
         engine = safe_exec.SafeDmpEngine(sshape_model, obstacles=[obs], dt=0.005)
-        control = engine.control
-        seen = []
+        control, coast = engine.control, engine.coast
+        seen, coasted = [], []
 
         def recording_control(x_measured, t):
             seen.append(x_measured)
             return control(x_measured, t)
 
-        engine.control = recording_control
+        def recording_coast(x_measured, k, n):
+            coasted.append(x_measured)
+            return coast(x_measured, k, n)
+
+        engine.control, engine.coast = recording_control, recording_coast
         kick_at_start = bench.Perturbation(t_apply=0.0, offset=[0.0, 0.01, 0.0])
-        log = safe_exec.run(
-            engine, plant=plant,
-            perturbations=[kick_at_start, *standard_impulses],
-        )
-        assert log.converged and len(seen) == log.steps
+        perturbations = [kick_at_start, *standard_impulses]
+        log = safe_exec.run(engine, plant=plant, perturbations=perturbations)
+        assert log.converged and seen
         assert all(
-            type(x) is list and all(type(v) is float for v in x) for x in seen
+            type(x) is list and all(type(v) is float for v in x)
+            for x in seen + coasted
         )
+        if isinstance(plant, safe_exec.FirstOrderLagPlant):
+            assert len(seen) == log.steps and coasted == []
+        else:  # the coasted rows are the timed engine's stepped rows
+            timed = safe_exec.SafeDmpEngine(
+                sshape_model, obstacles=[obs], dt=0.005, timed=True
+            )
+            stepped = safe_exec.run(timed, plant=plant, perturbations=perturbations)
+            assert len(seen) < log.steps
+            assert log.rows.tobytes() == stepped.rows.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
