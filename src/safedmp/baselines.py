@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -103,14 +102,6 @@ def apf_force(x, table, t: float, params: ApfParams) -> np.ndarray:
     return force
 
 
-def _reference_rows(points: np.ndarray, k: int):
-    """The ``xn_*`` columns of steps k, k+1, ...: ``points[k:]``, then the
-    last point for as long as the run lasts, each converted to floats only
-    when ``chain.from_iterable`` first reads it."""
-    yield points[k:].tolist()
-    yield repeat(points[-1].tolist())
-
-
 class ApfEngine(Engine):
     """Primitive plus potential-field coupling, integrated as one system.
 
@@ -124,12 +115,9 @@ class ApfEngine(Engine):
     from :func:`dmp.forcing_at` and advances the primitive with
     :func:`dmp.attractor_step`, the rollout's own step.  The time scale
     stays ``tau_nominal``; a ``params.max_force`` of None is resolved to
-    :func:`default_max_force` once, here.  The log's
-    ``xn_*`` columns report ``nominal_reference``: step k logs its point k,
-    or its last point once the run outlasts it.  The reference stays an
-    array: :meth:`seek` returns its rows for a replayed prefix or a coasted
-    block as a slice, and the stepped rows convert only the points from the
-    last seek point on.
+    :func:`default_max_force` once, here.  The log's ``xn_*`` columns
+    report ``nominal_reference``, kept as the array ``reference``, which
+    :func:`~.safe_exec.run` writes into them.
     """
 
     def __init__(
@@ -149,8 +137,7 @@ class ApfEngine(Engine):
             self.params = replace(self.params, max_force=default_max_force(model))
         d0 = self.params.d0
         self.reaches = tuple(row[2] if d0 is None else d0 for row in self._table)
-        self._reference = nominal_reference.points
-        self._nominal = chain.from_iterable(_reference_rows(self._reference, 0))
+        self.reference = nominal_reference.points
         self._free = True  # the last step's repulsion was exactly zero
 
     def control(self, x_measured: Sequence[float], t: float) -> list:
@@ -178,14 +165,6 @@ class ApfEngine(Engine):
         )
         return self._x
 
-    def seek(self, k: int, x: list, v: list, z: float) -> np.ndarray:
-        xn, missing = self._reference[self._k:k], k - max(self._k, len(self._reference))
-        if missing > 0:  # the run outlasts the reference: pad with its last point
-            xn = np.concatenate((xn, np.repeat(self._reference[-1:], missing, axis=0)))
-        super().seek(k, x, v, z)
-        self._nominal = chain.from_iterable(_reference_rows(self._reference, k))
-        return xn
-
     def _coast_chain(self, x_measured: list, n: int):
         """Tried after a step whose repulsion was zero, step k coasts when no
         obstacle is within its reach of ``x_measured``, adopted as ``x_k``;
@@ -210,12 +189,11 @@ class ApfEngine(Engine):
 
         The method has no projection, so the logged safe position is the
         command itself; the row logs the measurement as :meth:`control`
-        converted it.
+        converted it, also in the ``xn_*`` slots that
+        :func:`~.safe_exec.run` fills from ``reference``.
         """
         x_next = self.control(x_measured, t)
-        x_nominal = next(self._nominal)
-        self.rows.append(
-            (t, *x_nominal, *x_next, *x_next, *self._x_measured, self.tau, self.z)
-        )
+        x = self._x_measured
+        self.rows.append((t, *x, *x_next, *x_next, *x, self.tau, self.z))
         return x_next
 

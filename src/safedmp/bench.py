@@ -301,7 +301,8 @@ class PreparedScenario:
     """Model and nominal plan shared by every run of one scenario.
 
     ``rollout``, the source of ``nominal`` and ``nominal_converged`` in a
-    :func:`plan`, is what :func:`run_scenario` replays free prefixes from.
+    :func:`plan`, is what :func:`run_scenario` hands :func:`~.safe_exec.run`
+    for the first block of each run.
     """
 
     scenario: Scenario

@@ -457,7 +457,7 @@ def rollout(
     stops, the step raises what :func:`forcing` or :func:`phase_step` would.
     The result keeps the
     velocity and phase of every point, from which :func:`~.safe_exec.run`
-    replays a run's free prefix.
+    reads the first block of a run (:meth:`~.safe_exec.Engine.coast`).
     """
     if not 0.0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")

@@ -390,7 +390,8 @@ class Engine:
     """What :func:`run`, :func:`~.bench.timing_harness` and the benchmark
     read from an engine; a method subclasses it and adds its own
     parameters, ``control``, ``step`` and ``_coast_chain`` (see
-    :meth:`coast`).
+    :meth:`coast`); one that defines ``control`` but no ``_coast_chain``
+    gets this class's, which coasts no step.
 
     The constructor checks the arguments every method shares (a positive
     finite ``dt``, obstacles of the model's dimension), builds ``_table``,
@@ -404,9 +405,15 @@ class Engine:
     ``step_seconds`` (see :func:`clocked`); otherwise no step reads a clock
     and ``step_seconds`` stays empty.  A method sets ``reaches``, per
     obstacle the surface clearance at and above which its control law
-    ignores it.  :meth:`goal_distance` is the primitive's side of the
-    package's one goal test, ``math.dist(x, g) <= goal_tol``.
+    ignores it, and may set ``reference``, the points :func:`run` writes
+    into the log's ``xn_*`` columns.  :meth:`goal_distance` is the
+    primitive's side of the one goal test, ``math.dist(x, g) <= goal_tol``.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "control" in vars(cls) and "_coast_chain" not in vars(cls):
+            cls._coast_chain = Engine._coast_chain  # a new law coasts nothing
 
     def __init__(
         self,
@@ -429,6 +436,7 @@ class Engine:
         self.dt = dt
         self.goal_tol = goal_tol
         self.rows: list[tuple] = []
+        self.reference = None
         self.step_seconds: list[float] = []
         self.timed = timed
         if timed:
@@ -448,39 +456,46 @@ class Engine:
         """Distance of the primitive to the goal, ``math.dist(x, g)``."""
         return math.dist(self._x, self._g)
 
-    def seek(self, k: int, x: list, v: list, z: float):
-        """Take the state after step ``k - 1``, reached from the current step
-        by steps with nothing to correct: ``x_k``, ``v_k`` and ``z_k``;
-        :func:`run` logs their rows.  Returns their ``xn_*`` columns, an
-        array, if not the positions the steps started from."""
-        self._k, self._x, self._v, self.z = k, x, v, z
+    def _coast_chain(self, x_measured: list, n: int):
+        """None: step k does not coast (see :meth:`coast`)."""
+        return None
 
-    def coast(self, x_measured: list, k: int, n: int) -> np.ndarray | None:
+    def coast(self, x_measured: list, k: int, n: int,
+              nominal: dmp.RolloutResult | None = None) -> np.ndarray | None:
         """Take up to ``n`` steps from step k at once while they have nothing
-        to correct, and return the rows :meth:`step` would log for them; None
-        if the method's ``_coast_chain`` says step k is not such a step.  The
-        chain gives ``x_k`` and the steps' time scales, phases and forcing
-        rows, cut before any step at which ``control`` would raise;
-        :func:`dmp.attractor_step` gives the positions, and the leading steps
-        that pass :func:`_screen` are taken.
-        """
-        chain = self._coast_chain(x_measured, n)
-        if chain is None:
-            return None
-        x, taus, phases, forces = chain
+        to correct, move the engine past them and return the rows
+        :meth:`step` would log for them; None if the method's
+        ``_coast_chain`` says step k is not such a step.  The chain gives
+        ``x_k`` and the steps' time scales, phases and forcing rows, cut
+        before any step at which ``control`` would raise, and
+        :func:`dmp.attractor_step` their positions.  Given ``nominal``, a
+        rollout of the model at ``dt`` for a run unperturbed at step 0, the
+        block at step 0 reads its points, velocities and phases from it at
+        ``tau_nominal`` instead, unless the method has no ``_coast_chain`` of
+        its own.  The engine takes the leading steps that pass
+        :func:`_screen`."""
         model, dt, v, g = self.model, self.dt, self._v, self._g
-        points, velocities = [x], [v]
-        for f, tau in zip(forces, taus):
-            x, v = dmp.attractor_step(x, v, f, g, tau, dt, model.alpha, model.beta)
-            points.append(x)
-            velocities.append(v)
-        xs = np.array(points)
+        if nominal is not None and type(self)._coast_chain is not Engine._coast_chain:
+            xs = nominal.trajectory.points[:n + 1]
+            velocities, phases = nominal.velocities, nominal.phases
+            taus = [self.tau] * len(xs)  # tau_nominal
+        else:
+            chain = self._coast_chain(x_measured, n)
+            if chain is None:
+                return None
+            x, taus, phases, forces = chain
+            points, velocities = [x], [v]
+            for f, tau in zip(forces, taus):
+                x, v = dmp.attractor_step(x, v, f, g, tau, dt, model.alpha, model.beta)
+                points.append(x)
+                velocities.append(v)
+            xs = np.array(points)
         c = _screen(self, k, xs)
-        xn = self.seek(k + c, points[c], velocities[c], phases[c]) if c else None
-        self.tau = taus[c]
+        self._k, self._x, self.tau = k + c, xs[c].tolist(), taus[c]
+        self._v, self.z = velocities[c], phases[c]
         rows = np.column_stack((
-            np.arange(k, k + c) * dt, xs[:c] if xn is None else xn,
-            xs[1:c + 1], xs[1:c + 1], xs[:c], taus[1:c + 1], phases[1:c + 1],
+            np.arange(k, k + c) * dt, xs[:c], xs[1:c + 1], xs[1:c + 1], xs[:c],
+            taus[1:c + 1], phases[1:c + 1],
         ))
         rows[:1, 1 + 3 * model.d: 1 + 4 * model.d] = x_measured  # as given, zero signs too
         return rows
@@ -585,10 +600,6 @@ class SafeDmpEngine(Engine):
         self._x_safe_prev = x_safe
         return x_desired, x, x_target, x_safe, u
 
-    def seek(self, k: int, x: list, v: list, z: float):
-        super().seek(k, x, v, z)
-        self._x_safe_prev = x
-
     def _coast_chain(self, x_measured: list, n: int):
         """Step k coasts when ``x_measured``, the last safe point and ``x_k``
         are equal and its target clears every clearance sphere; the tube law
@@ -613,10 +624,13 @@ class SafeDmpEngine(Engine):
         forces = dmp.forcing_rows(self.model, np.array(phases[:-1]))
         return x, taus, phases, forces.tolist()
 
-    def coast(self, x_measured: list, k: int, n: int) -> np.ndarray | None:
-        rows = super().coast(x_measured, k, n)
+    def coast(self, x_measured: list, k: int, n: int,
+              nominal: dmp.RolloutResult | None = None) -> np.ndarray | None:
+        rows = super().coast(x_measured, k, n, nominal)
         if rows is not None:
-            self._ec = self._ecs[len(rows)]
+            if nominal is None:  # a replayed block leaves the error at rest
+                self._ec = self._ecs[len(rows)]
+            self._x_safe_prev = self._x
         return rows
 
     def _note_motion(self, x_safe) -> None:
@@ -669,7 +683,8 @@ def _screen(engine, k: int, points: np.ndarray) -> int:
     ``x_j`` or ``x_{j+1}`` is not finite or lies within an obstacle's reach
     (``engine.reaches``, plus rounding slack) at ``t_j``, and at most up to
     the first whose ``x_{j+1}`` passes :func:`run`'s goal test, which ends
-    the run.  The one screen of the replayed prefix and the coasted blocks.
+    the run.  The one screen of every coasted block, the replayed first
+    block included.
     """
     n, goal_tol = len(points) - 1, engine.goal_tol
     # the largest coordinate gap is at most math.dist, with no squares to
@@ -692,24 +707,6 @@ def _screen(engine, k: int, points: np.ndarray) -> int:
             clear &= (gaps >= reach + slack).all(axis=0)
     blocked = np.flatnonzero(~clear)
     return int(blocked[0]) if blocked.size else n
-
-
-def _free_prefix(engine, nominal, offsets: dict, max_steps: int) -> np.ndarray:
-    """The rows of the run's first steps that the rollout ``nominal`` holds,
-    with ``engine`` moved past them (:meth:`Engine.seek`): the steps before
-    the first perturbation, the rollout's end or the step cap that pass
-    :func:`_screen`.
-    """
-    points = nominal.trajectory.points
-    n = max(0, min(max_steps, nominal.steps, *offsets))
-    n = _screen(engine, 0, points[:n + 1])
-    xn = engine.seek(n, points[n].tolist(), nominal.velocities[n], nominal.phases[n])
-    return np.column_stack((
-        np.arange(n) * engine.dt,
-        points[:n] if xn is None else xn,
-        points[1:n + 1], points[1:n + 1], points[:n],
-        np.full(n, engine.tau), nominal.phases[1:n + 1],
-    ))
 
 
 def run(
@@ -739,11 +736,12 @@ def run(
 
     An untimed engine under :class:`IdealPlant` takes the steps with
     nothing to correct without stepping them, and logs the stepped run bit
-    for bit: it replays its free prefix (:func:`_free_prefix`) from
-    ``nominal``, None or a rollout of ``engine.model`` at ``engine.dt``,
-    and coasts through later stretches in blocks (:meth:`Engine.coast`) of
-    up to :data:`COAST_BLOCK` steps; a block cut short backs off the next
-    try by 1, 2, 4, ... steps.
+    for bit: it coasts through them in blocks (:meth:`Engine.coast`) of up
+    to :data:`COAST_BLOCK` steps, and a block cut short backs off the next
+    try by 1, 2, 4, ... steps.  Given ``nominal``, a rollout of
+    ``engine.model`` at ``engine.dt``, and no perturbation at step 0, the
+    block at step 0 reads the rollout, uncapped.  An engine's ``reference``
+    fills the ``xn_*`` columns: row k logs its point k, or its last point.
     """
     if plant is None:
         plant = IdealPlant()
@@ -774,32 +772,26 @@ def run(
 
     width = 4 * model.d + 3
     coasting = type(plant) is IdealPlant and not engine.timed
-    prefix = np.empty((0, width))
-    if (coasting and nominal is not None and nominal.model is model
-            and nominal.dt == dt):
-        prefix = _free_prefix(engine, nominal, offsets, max_steps)
-    k = len(prefix)
-    x_measured = (nominal.trajectory.points[k] if k else x0).tolist()
-    if k in offsets:
-        x_measured = [x + o for x, o in zip(x_measured, offsets[k])]
+    if not (coasting and nominal is not None and nominal.model is model
+            and nominal.dt == dt and 0 not in offsets):
+        nominal = None  # the first block cannot read the rollout
+    x_measured = x0.tolist()
+    if 0 in offsets:
+        x_measured = [x + o for x, o in zip(x_measured, offsets[0])]
 
     step, track, goal_distance = engine.step, plant.track, engine.goal_distance
     g = model.g.tolist()
-    # the goal test that ended the prefix's last step, as in the loop
-    converged = k > 0 and (goal_distance() <= goal_tol
-                           and math.dist(x_measured, g) <= goal_tol)
-    infeasible = False
-    blocks = [(0, prefix)]  # (rows stepped before it, the block's rows)
-    # the step that ended a replayed prefix has something to correct (or a
-    # perturbation), so the first block is tried after it
-    wait, retry, stop = 1, k + 1 if k else 0, k
+    k, converged, infeasible = 0, False, False
+    blocks = []  # (rows stepped before it, the block's rows)
+    wait, retry, stop = 1, 0, 0
     while k < max_steps and not converged:
         block = None
         if coasting and k >= retry:
             if k >= stop:  # a block ends at the next perturbation or the cap
                 stop = min([max_steps, *(p for p in offsets if p > k)])
-            n = min(COAST_BLOCK, stop - k)
-            block = engine.coast(x_measured, k, n)
+            n = stop - k if nominal is not None else min(COAST_BLOCK, stop - k)
+            block = engine.coast(x_measured, k, n, nominal)
+            nominal = None  # only the block at step 0 reads the rollout
             if block is not None and len(block) < n:  # cut short: back off
                 wait, retry = 2 * wait, k + len(block) + wait
             elif block is not None:
@@ -829,6 +821,9 @@ def run(
         pieces += (stepped[start:at], block)
         start = at
     rows = np.concatenate((*pieces, stepped[start:]))
+    if engine.reference is not None:  # row k logs point k, or the last one
+        steps = np.arange(len(rows))
+        rows[:, 1:1 + model.d] = engine.reference.take(steps, axis=0, mode="clip")
     x_measured = rows[:, 1 + 3 * model.d: 1 + 4 * model.d]
     clearance = surface_clearance(engine.obstacles, rows[:, 0], x_measured)
     seconds = engine.step_seconds

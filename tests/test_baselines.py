@@ -354,6 +354,29 @@ class TestObstacleFreeSteps:
         assert len(calls) < 2 * stepped.steps
         assert coasted.rows.tobytes() == stepped.rows.tobytes()
 
+    def test_a_law_of_its_own_steps_every_row(
+        self, sshape_model, sshape_nominal, standard_impulses
+    ):
+        """A subclass with its own ``control`` and no ``_coast_chain`` coasts
+        no step, the replayed block at step 0 included: every row runs its
+        own law, and the untimed run logs the timed run's bytes."""
+        logs, calls = [], []
+        for timed in (False, True):
+            engine = ForcedApfEngine(sshape_model, sshape_nominal.trajectory,
+                                     timed=timed)
+            control = engine.control
+
+            def counting(x_measured, t, control=control):
+                calls.append(t)
+                return control(x_measured, t)
+
+            engine.control = counting
+            logs.append(safe_exec.run(engine, perturbations=standard_impulses,
+                                      nominal=sshape_nominal))
+            assert len(calls) == logs[-1].steps > 300
+            calls.clear()
+        assert logs[0].rows.tobytes() == logs[1].rows.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_steps_equal_the_forced_law(

@@ -32,7 +32,8 @@ def load_perfbench(name):
 
 def test_tracer_wraps_both_engines(sshape_model, sshape_nominal):
     tracer = load_perfbench("tracing").Tracer()
-    # both methods step past their free prefix here, so both controls run
+    # both methods step after their replayed first block here, so both
+    # controls run
     scenario = bench.load_scenario(ROOT / "scenarios" / "static_one_sshape.json")
     obstacle = bench.random_static_blocker(
         sshape_nominal.trajectory, np.random.default_rng(0)

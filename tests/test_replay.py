@@ -1,16 +1,18 @@
 """A run that replays or coasts through free steps logs the stepped run.
 
-``safe_exec.run(..., nominal=rollout)`` copies the steps that the rollout
-already holds instead of stepping them, and every untimed run under the
-ideal plant coasts through later steps with nothing to correct
-(``Engine.coast``).  A timed engine steps every row, so these tests compare
-such runs with the same run of a timed engine, bit for bit, over random
-obstacles, perturbations, goal tolerances and horizons.  The runs that must
-step every row (a timed engine, a lagging plant) call ``control`` once per
-logged row; a rollout of another ``dt`` or model is not replayed.
+Every untimed run under the ideal plant coasts through steps with nothing
+to correct in blocks (``Engine.coast``), and with
+``safe_exec.run(..., nominal=rollout)`` its first block reads the steps
+that the rollout already holds instead of computing them.  A timed engine
+steps every row, so these tests compare such runs with the same run of a
+timed engine, bit for bit, over random obstacles, perturbations, goal
+tolerances and horizons.  The runs that must step every row (a timed
+engine, a lagging plant) call ``control`` once per logged row; a rollout of
+another ``dt`` or model, or a run perturbed at step 0, is not replayed.
 """
 
 import collections
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -55,9 +57,9 @@ def count_coasts(engine) -> list:
     steps = []
     coast = engine.coast
 
-    def counting(x_measured, k, n):
+    def counting(x_measured, k, n, nominal=None):
         steps.append(k)
-        return coast(x_measured, k, n)
+        return coast(x_measured, k, n, nominal)
 
     engine.coast = counting
     return steps
@@ -120,13 +122,15 @@ def test_replay_equals_stepped_run(data, sshape_model, minjerk_model):
         d0=data.draw(st.none() | st.floats(0.01, 0.3)),
     )
 
-    # the unperturbed run's free prefix: the steps before the engine's first
-    # control or coast call, and its last step
+    # the unperturbed run's replayed first block, the coast call at step 0:
+    # the steps before the engine's first control call or next coast call,
+    # and its last step
     probe = build(method, model, rollout, **args)
     asked = count_controls(probe)
     coasts = count_coasts(probe)
     end = safe_exec.run(probe, max_steps=max_steps, nominal=rollout).steps
-    free = min([round(t / DT) for t in asked[:1]] + coasts[:1] + [end])
+    assert coasts[:1] == [0]
+    free = min([round(t / DT) for t in asked[:1]] + coasts[1:2] + [end])
 
     # perturbations at t=0, about the prefix's last step, about the run's
     # last step (whose goal test a perturbation changes) and past the rollout
@@ -163,38 +167,46 @@ def test_free_run_replays_every_row(method, sshape_model, sshape_nominal):
 
 
 @pytest.mark.parametrize("method", bench.METHODS)
-@pytest.mark.parametrize("case", ["timed", "lag", "other dt", "other model"])
+@pytest.mark.parametrize(
+    "case", ["timed", "lag", "other dt", "other model", "perturbed at step 0"])
 def test_runs_that_must_step_every_row(case, method, sshape_model, sshape_nominal):
     """A timed engine and a lagging plant step every row; a rollout of
-    another ``dt`` or model object replays nothing, so the run coasts from
-    step 0 and logs the timed run's rows."""
+    another ``dt`` or model object, or a perturbation at step 0, replays
+    nothing, so the run coasts from step 0 and logs the timed run's rows."""
     rollout, model, plant, timed = sshape_nominal, sshape_model, None, False
+    perturbations = ()
     if case == "timed":
         timed = True
     elif case == "lag":
         plant = safe_exec.FirstOrderLagPlant(0.05, DT)
     elif case == "other dt":
         rollout = dmp.rollout(sshape_model, 0.004)
-    else:  # the same floats in another model object
+    elif case == "other model":  # the same floats in another model object
         model = dmp.model_from_dict(dmp.model_to_dict(sshape_model))
+    else:  # the run's model and dt, but no steps: reading them would raise
+        perturbations = [bench.Perturbation(0.0, np.array([0.02, -0.01, 0.0]))]
+        rollout = dataclasses.replace(
+            sshape_nominal, trajectory=None, velocities=None, phases=None)
     engine = build(method, model, sshape_nominal, timed=timed)
     calls = count_controls(engine)
     coasts = count_coasts(engine)
-    log = safe_exec.run(engine, plant=plant, nominal=rollout)
+    log = safe_exec.run(engine, plant=plant, perturbations=perturbations,
+                        nominal=rollout)
     assert log.steps > 0
     if case in ("timed", "lag"):
         assert len(calls) == log.steps and coasts == []
     else:
         assert coasts[0] == 0 and len(calls) < log.steps
     if plant is None:
-        stepped = safe_exec.run(build(method, sshape_model, sshape_nominal, timed=True))
+        stepped = safe_exec.run(build(method, sshape_model, sshape_nominal, timed=True),
+                                perturbations=perturbations)
         assert_same_log(log, stepped)
 
 
 @pytest.mark.parametrize("method", bench.METHODS)
 def test_goal_whose_squares_overflow_ends_the_prefix(method):
     """1e160 m from the goal passes a 1e200 m tolerance, although the
-    squared distance overflows: the prefix's goal screen must keep it."""
+    squared distance overflows: the first block's goal screen must keep it."""
     centers, widths = dmp.default_basis(25, 25.0 / 6.0)
     model = dmp.DmpModel(
         d=3, n_basis=25, alpha=25.0, tau_nominal=1.0, x0=np.zeros(3),
@@ -217,8 +229,8 @@ def test_goal_whose_squares_overflow_ends_the_prefix(method):
 
 @pytest.mark.parametrize("length", [2, 50])
 def test_apf_reference_shorter_than_the_prefix(length, sshape_model, sshape_nominal):
-    """A dmp-apf reference of its own, shorter than the free prefix: the
-    replayed rows log its points, then its last point, as stepped rows do."""
+    """A dmp-apf reference of its own, shorter than the replayed first
+    block: the rows log its points, then its last point, as stepped rows do."""
     points = sshape_nominal.trajectory.points[:length] + 0.25
     reference = tj.TimedTrajectory(np.arange(length) * DT, points)
 
@@ -237,20 +249,22 @@ def test_apf_reference_shorter_than_the_prefix(length, sshape_model, sshape_nomi
 
 
 def test_apf_stepped_rows_follow_the_seek_point(sshape_model, sshape_nominal):
-    """A perturbation ends the prefix at step 100 of a 120-point reference;
-    the later rows' reference columns go on from the seek point, bit for bit
-    as in the timed run, and hold the reference's last point past its end."""
+    """A perturbation ends the replayed block at step 100 of a 120-point
+    reference, and the perturbed step coasts, since its repulsion is zero;
+    the later rows' reference columns go on from step 100, bit for bit as in
+    the timed run, and hold the reference's last point past its end."""
     reference = tj.TimedTrajectory(sshape_nominal.trajectory.times[:120],
                                    sshape_nominal.trajectory.points[:120] - 0.5)
     perturbations = [bench.Perturbation(100 * DT, np.array([0.02, -0.01, 0.0]))]
     engines = [baselines.ApfEngine(sshape_model, reference, dt=DT, timed=timed)
                for timed in (False, True)]
     calls = count_controls(engines[0])
+    coasts = count_coasts(engines[0])
     replayed, stepped = (
         safe_exec.run(engine, perturbations=perturbations, nominal=nominal)
         for engine, nominal in zip(engines, (sshape_nominal, None))
     )
-    assert calls[0] == 100 * DT and len(calls) < replayed.steps - 100
+    assert calls == [] and coasts[:2] == [0, 100]
     assert_same_log(replayed, stepped)
     xn = replayed.rows[:, 1:4]
     assert np.array_equal(xn[:120], reference.points)
@@ -310,4 +324,4 @@ def test_canned_pass_control_traffic(monkeypatch):
         monkeypatch.setattr(engine_class, "control", counting)
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         bench.compare([bench.load_scenario(path)])
-    assert dict(calls) == {"SafeDmpEngine": 477, "ApfEngine": 1900}
+    assert dict(calls) == {"SafeDmpEngine": 477, "ApfEngine": 1898}

@@ -434,9 +434,9 @@ class TestFloatPath:
             seen.append(x_measured)
             return control(x_measured, t)
 
-        def recording_coast(x_measured, k, n):
+        def recording_coast(x_measured, k, n, nominal=None):
             coasted.append(x_measured)
-            return coast(x_measured, k, n)
+            return coast(x_measured, k, n, nominal)
 
         engine.control, engine.coast = recording_control, recording_coast
         kick_at_start = bench.Perturbation(t_apply=0.0, offset=[0.0, 0.01, 0.0])
